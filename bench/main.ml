@@ -22,15 +22,19 @@
                                     row: disk-bandwidth units, decompress
                                     slots (default 1,1 — full contention)
      bench/main.exe --exp diffcheck --mutate
-                                    plant an off-by-one in the cross-path
-                                    oracle; the campaign must report it
-                                    caught and print a shrunk reproducer
+                                    plant one fault per mutable oracle;
+                                    every mutant check must pass (caught)
+                                    and print a shrunk reproducer
 
-   Each experiment also writes BENCH_<id>.json (schema 2: wall-clock
-   seconds plus per-row boot-time distributions and per-phase
-   breakdowns) into the current directory. *)
+   The experiment ids come from the Imk_harness.Experiments registry.
+   Exit status is 1 when any experiment reports a failed check (or the
+   --baseline gate trips). Each experiment also writes BENCH_<id>.json
+   (schema 2: wall-clock seconds plus per-row boot-time distributions
+   and per-phase breakdowns) into the current directory. *)
 
-let runs = ref 20
+module E = Imk_harness.Experiment
+
+let runs = ref E.default.E.runs
 let exps = ref []
 let functions = ref None
 let scale = ref 16
@@ -40,16 +44,18 @@ let threshold = ref Imk_harness.Telemetry.default_threshold_pct
 let trace_path = ref None
 let no_plan_cache = ref false
 let mutate = ref false
-let requests = ref None
+let requests = ref E.default.E.requests
 let contend = ref None
 
 let usage () =
   prerr_endline
-    "usage: main.exe [--exp <id>]... [--runs N] [--functions N] [--scale N] [--jobs N]\n\
+    ("usage: main.exe [--exp <id>]... [--runs N] [--functions N] [--scale N] [--jobs N]\n\
      \               [--baseline BENCH_<id>.json] [--threshold PCT] [--trace out.json]\n\
      \               [--no-plan-cache] [--mutate] [--requests N] [--contend D,S]\n\
-     experiments: table1 fig3 fig4 fig5 fig6 fig9 fig10 fig11 qemu throughput security faults resilience diffcheck fleet\n\
-     \             ablation-kallsyms ablation-orc ablation-page-sharing ablation-rerando ablation-zygote ablation-unikernel ablation-devices micro all";
+     experiments: "
+    ^ String.concat " "
+        (List.map (fun (e : E.t) -> e.E.id) Imk_harness.Experiments.all
+        @ [ "micro"; "all" ]));
   exit 2
 
 let rec parse = function
@@ -85,7 +91,7 @@ let rec parse = function
       mutate := true;
       parse rest
   | "--requests" :: v :: rest ->
-      requests := Some (int_of_string v);
+      requests := int_of_string v;
       parse rest
   | "--contend" :: v :: rest ->
       (match String.split_on_char ',' v with
@@ -94,10 +100,16 @@ let rec parse = function
       parse rest
   | _ -> usage ()
 
-let print_output (o : Imk_harness.Experiments.output) =
-  Printf.printf "\n=== %s ===\n" o.Imk_harness.Experiments.title;
-  Imk_util.Table.print o.Imk_harness.Experiments.table;
-  List.iter (fun n -> Printf.printf "  note: %s\n" n) o.Imk_harness.Experiments.notes;
+let print_output (o : E.output) =
+  Printf.printf "\n=== %s ===\n" o.E.title;
+  Imk_util.Table.print o.E.table;
+  List.iter (fun n -> Printf.printf "  note: %s\n" n) o.E.notes;
+  List.iter
+    (fun (c : E.check) ->
+      Printf.printf "  check: %s %s — %s\n" c.E.name
+        (if c.E.ok then "ok" else "FAILED")
+        c.E.detail)
+    o.E.checks;
   flush stdout
 
 (* --baseline: read once up front so a missing or malformed file fails
@@ -199,32 +211,22 @@ let with_trace_capture id f =
 (* run one experiment under the wall clock and drop BENCH_<id>.json next
    to the invocation — the real-time cost of the simulation, as opposed
    to the virtual boot times in the table itself *)
-let timed_experiment id
-    (f : ?runs:int -> Imk_harness.Workspace.t -> Imk_harness.Experiments.output)
-    ws =
+let timed_experiment (e : E.t) ws =
+  let id = e.E.id in
+  let params = { E.runs = !runs; mutate = !mutate; requests = !requests } in
   let t0 = Unix.gettimeofday () in
-  let o = with_trace_capture id (fun () -> f ~runs:!runs ws) in
+  let o = with_trace_capture id (fun () -> e.E.run params ws) in
   let wall = Unix.gettimeofday () -. t0 in
   print_output o;
-  (* correctness campaigns (diffcheck, resilience) flag their failures in
-     notes with fixed markers; a flagged note must fail the invocation,
-     not just print — CI runs these as gates *)
-  let failing_note n =
-    let has_prefix p =
-      String.length n >= String.length p && String.sub n 0 (String.length p) = p
-    in
-    has_prefix "DIVERGENCE" || has_prefix "MUTATE NOT CAUGHT"
-    || has_prefix "SOUNDNESS VIOLATION" || has_prefix "UNRECOVERED"
-  in
-  if List.exists failing_note o.Imk_harness.Experiments.notes then begin
+  (* a failed check fails the invocation, not just the printout — CI runs
+     the gated campaigns as gates *)
+  if List.exists (fun (c : E.check) -> not c.E.ok) o.E.checks then begin
     gate_failed := true;
-    Printf.printf "  gate: %s reported a failing note\n" id
+    Printf.printf "  gate: %s has a failed check\n" id
   end;
   let rows = Imk_harness.Telemetry.rows o in
   (match
-     ( rows,
-       Imk_harness.Telemetry.value_column
-         (Imk_util.Table.headers o.Imk_harness.Experiments.table) )
+     (rows, Imk_harness.Telemetry.value_column (Imk_util.Table.headers o.E.table))
    with
   | [], Some _ ->
       Printf.printf
@@ -434,30 +436,12 @@ let () =
     (fun id ->
       match id with
       | "all" ->
-          List.iter
-            (fun eid ->
-              match Imk_harness.Experiments.by_id eid with
-              | Some f -> timed_experiment eid f ws
-              | None -> assert false)
-            Imk_harness.Experiments.all_ids;
+          List.iter (fun e -> timed_experiment e ws) Imk_harness.Experiments.all;
           micro ()
       | "micro" -> micro ()
-      (* --mutate only changes diffcheck, and only when asked: by_id keeps
-         the healthy catalogue for --exp all *)
-      | "diffcheck" when !mutate ->
-          timed_experiment "diffcheck"
-            (fun ?runs ws -> Imk_harness.Experiments.diffcheck ?runs ~mutate:true ws)
-            ws
-      (* --requests only applies to the fleet campaign; by_id keeps the
-         default for --exp all *)
-      | "fleet" when !requests <> None ->
-          timed_experiment "fleet"
-            (fun ?runs ws ->
-              Imk_harness.Experiments.fleet ?runs ?requests:!requests ws)
-            ws
       | id -> (
-          match Imk_harness.Experiments.by_id id with
-          | Some f -> timed_experiment id f ws
+          match Imk_harness.Experiments.find id with
+          | Some e -> timed_experiment e ws
           | None ->
               Printf.eprintf "unknown experiment %s\n" id;
               usage ()))

@@ -54,11 +54,6 @@ val plan_cache : t
     layout of an uncached second boot. Also divergent if the cache was
     never actually hit — a vacuous pass is no evidence. *)
 
-val snapshot_cold : t
-(** Snapshot ≡ cold boot: capture, serialize, reload and restore a
-    booted guest; the restored clone's layout must equal the original's
-    bit for bit (restores inherit the snapshot's randomization — the
-    §7 trade the snapshot module quantifies). *)
 
 val arena_fresh : t
 (** Recycled ≡ fresh memory: a boot into an arena-recycled buffer

@@ -97,6 +97,4 @@ module Reader = struct
     (r.acc lsr r.nbits) land ((1 lsl n) - 1)
 
   let align_byte r = r.nbits <- r.nbits - (r.nbits land 7)
-
-  let byte_pos r = r.pos - (r.nbits lsr 3)
 end

@@ -59,7 +59,4 @@ module Reader : sig
       Raises {!Truncated} if fewer than [n] real bits remain. *)
 
   val align_byte : t -> unit
-
-  val byte_pos : t -> int
-  (** [byte_pos r] is the offset of the next unread byte once aligned. *)
 end

@@ -4,8 +4,9 @@
     and back. The frame carries the codec id, the uncompressed length and
     a CRC-32 of the original data, so decompression validates integrity —
     the same job the per-format trailers (gzip CRC, xz check, ...) do for
-    real kernels. Frames are produced by {!frame} and consumed by
-    {!unframe}; the raw codecs under this interface only see payloads.
+    real kernels. Frames are produced by {!frame} and validated by the
+    codec's [decompress]; the raw codecs under this interface only see
+    payloads.
 
     The six registered codecs mirror the six kernel compression schemes the
     paper's Figure 3 compares. Decompression *rates* for the virtual clock
@@ -40,15 +41,6 @@ type t = {
 val frame : name:string -> orig:bytes -> payload:bytes -> bytes
 (** [frame ~name ~orig ~payload] wraps [payload] with the standard header:
     magic, codec-name hash, original length, CRC-32 of [orig]. *)
-
-val unframe : name:string -> bytes -> int * int * bytes
-(** [unframe ~name b] validates the header and returns
-    [(orig_len, crc, payload)]. Raises {!Corrupt} on bad magic, codec
-    mismatch or truncation. *)
-
-val check_crc : orig_crc:int -> bytes -> unit
-(** [check_crc ~orig_crc data] raises {!Corrupt} if the CRC-32 of [data]
-    differs from [orig_crc]. *)
 
 val make :
   name:string ->

@@ -36,97 +36,10 @@ type report = {
   makespan_ns : int;
 }
 
-(* binary min-heap of in-flight boots, keyed (finish_ns, seq): seq is
-   the start order, so ties resolve deterministically and the completion
-   order is a pure function of the schedule. Stored as parallel arrays —
-   a record per push would mint a million short-lived blocks per cell,
-   and at fleet scale minor-GC pressure is the scaling limit (every
-   minor collection is a stop-the-world barrier across domains). *)
-module Heap = struct
-  type t = {
-    mutable keys : int array;
-    mutable seqs : int array;
-    mutable insts : Pool.instance array;
-    mutable len : int;
-  }
-
-  let dummy_inst = { Pool.id = 0; layout_seed = 0 }
-
-  let create () =
-    {
-      keys = Array.make 64 0;
-      seqs = Array.make 64 0;
-      insts = Array.make 64 dummy_inst;
-      len = 0;
-    }
-
-  let len t = t.len
-
-  let lt t i j =
-    t.keys.(i) < t.keys.(j)
-    || (t.keys.(i) = t.keys.(j) && t.seqs.(i) < t.seqs.(j))
-
-  let swap t i j =
-    let k = t.keys.(i) in
-    t.keys.(i) <- t.keys.(j);
-    t.keys.(j) <- k;
-    let s = t.seqs.(i) in
-    t.seqs.(i) <- t.seqs.(j);
-    t.seqs.(j) <- s;
-    let v = t.insts.(i) in
-    t.insts.(i) <- t.insts.(j);
-    t.insts.(j) <- v
-
-  let push t ~key ~seq inst =
-    if t.len = Array.length t.keys then begin
-      let grow a fill =
-        let b = Array.make (2 * t.len) fill in
-        Array.blit a 0 b 0 t.len;
-        b
-      in
-      t.keys <- grow t.keys 0;
-      t.seqs <- grow t.seqs 0;
-      t.insts <- grow t.insts dummy_inst
-    end;
-    t.keys.(t.len) <- key;
-    t.seqs.(t.len) <- seq;
-    t.insts.(t.len) <- inst;
-    t.len <- t.len + 1;
-    let i = ref (t.len - 1) in
-    while !i > 0 && lt t !i ((!i - 1) / 2) do
-      let p = (!i - 1) / 2 in
-      swap t !i p;
-      i := p
-    done
-
-  let min_key t =
-    if t.len = 0 then invalid_arg "Sim.Heap.min_key: empty";
-    t.keys.(0)
-
-  (* returns the popped instance; read [min_key] first for its time *)
-  let pop t =
-    if t.len = 0 then invalid_arg "Sim.Heap.pop: empty";
-    let inst = t.insts.(0) in
-    t.len <- t.len - 1;
-    t.keys.(0) <- t.keys.(t.len);
-    t.seqs.(0) <- t.seqs.(t.len);
-    t.insts.(0) <- t.insts.(t.len);
-    t.insts.(t.len) <- dummy_inst;
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let s = ref !i in
-      if l < t.len && lt t l !s then s := l;
-      if r < t.len && lt t r !s then s := r;
-      if !s = !i then continue := false
-      else begin
-        swap t !s !i;
-        i := !s
-      end
-    done;
-    inst
-end
+(* in-flight boots on the shared event heap, keyed (finish_ns, seq):
+   seq is the start order, so ties resolve deterministically and the
+   completion order is a pure function of the schedule *)
+module Heap = Imk_util.Heap
 
 (* LSD radix sort on non-negative ints, 16-bit digits: the SLO sample
    buffers hold up to [requests] entries apiece, and summarizing them
@@ -205,7 +118,7 @@ let run cfg =
   validate cfg;
   let n = cfg.requests in
   let pool = Pool.create ~capacity:cfg.pool_capacity in
-  let heap = Heap.create () in
+  let heap = Heap.create ~dummy:{ Pool.id = 0; layout_seed = 0 } in
   let seq = ref 0 in
   (* admission queue as a ring of (request index, arrival) int pairs:
      bounded by queue_capacity, so it never grows and never allocates *)

@@ -1,0 +1,1 @@
+val entries : Experiment.t list

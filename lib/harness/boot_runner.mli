@@ -103,10 +103,6 @@ val boot_contended :
     so the returned stats are bit-identical for any [jobs] fan-out
     (runs are fanned; each run's scheduler stays single-domain). *)
 
-val warm_seed : int -> int64
-(** Seed of warmup boot [i] (1-based) — a pure function of the index,
-    one leg of the [jobs]-invariance contract. *)
-
 val run_seed : int -> int64
 (** Seed of recorded run [i] (1-based). Shared with
     [Boot_supervisor.supervise_many] so supervised and plain campaigns

@@ -69,8 +69,6 @@ type report = {
           report can never drift from the [--trace] timeline. *)
 }
 
-val default_max_retries : int
-
 val backoff_base_ns : int
 (** First retry's backoff; each further retry doubles it. *)
 
@@ -91,7 +89,7 @@ type policy = {
 }
 
 val default_policy : policy
-(** [max_retries = default_max_retries], no deadline, threshold 3,
+(** [max_retries = 3], no deadline, threshold 3,
     cooldown 2, unbounded retry budget. *)
 
 type fleet

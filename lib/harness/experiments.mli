@@ -1,162 +1,9 @@
-(** Experiment drivers — one per table/figure of the paper.
+(** The experiment registry: every table, figure, ablation and campaign,
+    each an {!Experiment.t}. The ids live only in the entries. *)
 
-    Each returns an {!output}: a rendered table plus claim-check notes
-    (the "who wins, by what factor" assertions EXPERIMENTS.md records).
-    [runs] defaults to 20 per configuration; the paper used 100, and
-    [bench/main.exe --runs 100] reproduces that. *)
+val all : Experiment.t list
+(** Every experiment, in paper order: the figures ({!Figures}), the
+    gated campaigns ({!Campaigns}), then the ablations ({!Ablations}). *)
 
-type boot_row = {
-  label : string;
-      (** stable row key: every key cell of the table row, numeric ones
-          included, joined with ["/"] — e.g. ["aws/kaslr/lz4"],
-          ["aws/kaslr/256M"]. Dropping numeric key cells (an old bug)
-          made sweep points collapse onto one label and silently shadow
-          each other in the JSON. *)
-  total : Imk_util.Stats.summary;  (** nanoseconds, across the runs *)
-  phases : (string * Imk_util.Stats.summary) list;
-      (** per-phase nanosecond summaries ("in-monitor", "bootstrap",
-          "decompression", "linux-boot" — or finer span labels for
-          span-level experiments like fig5). Phases the boot path never
-          entered are absent, not zero-padded; the present phases' means
-          sum to [total.mean] up to per-run phase dropout. *)
-}
-
-type output = {
-  id : string;  (** "table1", "fig3", ... *)
-  title : string;
-  table : Imk_util.Table.t;
-  notes : string list;  (** derived claims, paper-vs-measured *)
-  telemetry : boot_row list;
-      (** the raw per-label distributions behind the table, fed to
-          {!Telemetry} as floats — never re-parsed from the rendered
-          cells. Empty for experiments without boot-time rows (table1,
-          fig11, security, page-sharing). *)
-}
-
-val table1 : Workspace.t -> output
-(** Kernel image sizes (modelled): vmlinux, bzImage none/LZ4, relocs. *)
-
-val fig3 : ?runs:int -> Workspace.t -> output
-(** Compression bakeoff: boot time per codec; LZ4 must win. *)
-
-val fig4 : ?runs:int -> Workspace.t -> output
-(** Cold vs warm cache: bzImage(LZ4) vs direct boot, three kernels. *)
-
-val fig5 : ?runs:int -> Workspace.t -> output
-(** Bootstrap loader step breakdown; decompression dominates. *)
-
-val fig6 : ?runs:int -> Workspace.t -> output
-(** Bootstrap methods: none / LZ4 / none-optimized / direct. *)
-
-val fig9 : ?runs:int -> Workspace.t -> output
-(** Main evaluation: {nokaslr,kaslr,fgkaslr} × {in-monitor direct,
-    none-optimized self-rando, LZ4 self-rando} × three kernels. *)
-
-val fig10 : ?runs:int -> Workspace.t -> output
-(** Guest memory sweep: monitor time flat, Linux boot linear. *)
-
-val fig11 : ?runs:int -> Workspace.t -> output
-(** LEBench normalized to the nokaslr baseline. *)
-
-val qemu_check : ?runs:int -> Workspace.t -> output
-(** §2.2/§5.2 cross-check under the QEMU cost profile. *)
-
-val throughput : ?runs:int -> Workspace.t -> output
-(** §5.2's platform metric: VMs instantiated per second on a multi-core
-    host, per randomization scheme. *)
-
-val security : Workspace.t -> output
-(** Entropy accounting + the leak-and-locate attack. *)
-
-val diffcheck : ?runs:int -> ?mutate:bool -> Workspace.t -> output
-(** Differential-oracle campaign (DESIGN.md §8): runs the {!Imk_check}
-    catalogue — cross-path layout, plan-cache traces, snapshot clones,
-    arena recycling — over the kernel matrix with run-pure seeds, fanned
-    over [--jobs], plus a jobs-1 ≡ jobs-N [boot_many] row. The table and
-    telemetry are bit-identical for any jobs value. [mutate] plants an
-    off-by-one in the cross-path comparison; the campaign must report it
-    caught and prints a shrunk reproducer — an oracle that cannot fail
-    is not evidence. *)
-
-val fleet : ?runs:int -> ?requests:int -> Workspace.t -> output
-(** Fleet serving campaign ({!Imk_fleet}, DESIGN.md §9): preset x
-    arrival model (poisson/bursty) x weather profile through the
-    deterministic serving simulator — a virtual-time request stream
-    scheduled onto bounded boot slots with a bounded warm pool and a
-    bounded admission queue. Per cell: served/dropped counts, pool hit
-    rate, cold vs warm sojourn p50/p99, queue wait p99, queue depth
-    p99, distinct served layouts; telemetry carries the cold-start /
-    warm-start / fault-start / queue-wait distributions. Service costs
-    are calibrated per preset from [max 4 runs] real supervised boots,
-    snapshot restores and fault-laden supervised boots ([requests]
-    simulated requests per cell then draw from them cyclically by
-    index). Calibration runs sequentially on the calling domain and
-    each cell's simulation is pure in its inputs, so the output is
-    bit-identical for any [--jobs]. A fault-laden calibration boot
-    that comes back green with no recovery event raises the
-    "SOUNDNESS VIOLATION" note prefix [bench/main.exe] fails on. *)
-
-val faults : ?runs:int -> Workspace.t -> output
-(** Deterministic fault-injection campaign: fault kinds x boot paths x
-    seeds under {!Boot_supervisor} supervision. Reports, per cell, how
-    many runs were detected (typed failure), recovered (verify-green
-    with a recorded recovery event) or — soundness violation — silently
-    green; the "silent" column must be all zeros. Bit-identical for any
-    [--jobs] value: every run gets a private disk, cache and armed
-    fault, all pure functions of the run index. *)
-
-val resilience : ?runs:int -> Workspace.t -> output
-(** Resilience campaign: weather profile (calm/flaky/storm,
-    {!Imk_fault.Weather}) x preset x boot path (direct ELF, compressed
-    bzImage, snapshot restore) under {!Boot_supervisor.fleet}
-    supervision — per-attempt virtual-time deadlines, circuit breakers,
-    a campaign retry budget. Per cell: recoveries, short-circuits,
-    breaker trips, deadline aborts, fallbacks, MTTR and p50/p99 boot
-    totals; telemetry carries per-recovery-label phase distributions.
-    Two gates, surfaced as note prefixes [bench/main.exe] fails on:
-    "SOUNDNESS VIOLATION" (an armed fault booted green with no event)
-    and "UNRECOVERED" (a recoverable fault ended as a failure without
-    an accounted degradation). Weather and per-run state are pure in
-    the (cell, run) index and each cell's fleet runs sequentially, so
-    output is bit-identical for any [--jobs]. *)
-
-val ablation_kallsyms : ?runs:int -> Workspace.t -> output
-(** Eager vs deferred kallsyms fixup (§4.3: eager ≈ 22% of boot). *)
-
-val ablation_orc : ?runs:int -> Workspace.t -> output
-(** ORC table update vs skip, on an ORC-enabled kernel build. *)
-
-val ablation_page_sharing : Workspace.t -> output
-(** §6 memory density: identical-page fraction between two guests under
-    shared vs distinct randomization seeds. *)
-
-val ablation_devices : ?runs:int -> Workspace.t -> output
-(** What a Lambda-style device set (serial, virtio-blk rootfs,
-    virtio-net) adds to a boot, on Firecracker's minimal device model vs
-    a QEMU-style one (§2.1). *)
-
-val ablation_unikernel : ?runs:int -> Workspace.t -> output
-(** §6: unikernels have no bootstrap loader, so only the monitor can
-    randomize them; whole-system FGASLR at unikernel scale costs
-    almost nothing. *)
-
-val ablation_zygote : ?runs:int -> Workspace.t -> output
-(** §7: snapshot restores and Morula-style zygote pools vs fresh
-    randomized boots — create latency, layout diversity, resident
-    memory. *)
-
-val ablation_rerando : ?runs:int -> Workspace.t -> output
-(** §7: SAND-style persistent VMs amortize boot cost but freeze the
-    layout across invocations; in-monitor KASLR makes
-    reboot-per-invocation re-randomization cheap. Reports invocations/sec
-    and distinct layouts per policy. *)
-
-val all_ids : string list
-(** Every experiment id, in paper order. *)
-
-val all : ?runs:int -> Workspace.t -> output list
-(** Every experiment, in paper order. Prefer iterating {!all_ids} with
-    {!by_id} when streaming results as they complete. *)
-
-val by_id : string -> (?runs:int -> Workspace.t -> output) option
+val find : string -> Experiment.t option
 (** Look an experiment up by its id (for the CLI). *)

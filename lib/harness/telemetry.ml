@@ -87,19 +87,19 @@ let check_duplicates ~what rows =
       Hashtbl.add seen r.label ())
     rows
 
-let rows (o : Experiments.output) =
+let rows (o : Experiment.output) =
   let rows =
     List.map
-      (fun (r : Experiments.boot_row) ->
+      (fun (r : Experiment.boot_row) ->
         {
-          label = r.Experiments.label;
-          total = summary_to_ms r.Experiments.total;
+          label = r.Experiment.label;
+          total = summary_to_ms r.Experiment.total;
           phases =
             List.map
               (fun (p, s) -> (p, summary_to_ms s))
-              r.Experiments.phases;
+              r.Experiment.phases;
         })
-      o.Experiments.telemetry
+      o.Experiment.telemetry
   in
   check_duplicates ~what:"rows" rows;
   rows

@@ -23,7 +23,7 @@
             { "phase": "linux-boot", ... } ] } ] }
     v}
 
-    Rows come straight from {!Experiments.output.telemetry} as raw
+    Rows come straight from {!Experiment.output.telemetry} as raw
     floats — never re-parsed out of the rendered table (lint.sh bans
     [float_of_string] in [lib/harness/] to keep that bug class dead).
     All summaries are milliseconds; the per-row phase means sum to the
@@ -54,12 +54,12 @@ type file = {
   rows : row list;
 }
 
-val rows : Experiments.output -> row list
+val rows : Experiment.output -> row list
 (** [rows o] converts the experiment's raw nanosecond telemetry to
     millisecond rows. Raises [Invalid_argument] on duplicate labels —
     two rows with the same label would silently shadow each other. *)
 
-val boot_means : Experiments.output -> (string * float) list
+val boot_means : Experiment.output -> (string * float) list
 (** [(label, mean total ms)] per telemetry row — the schema-1 view,
     derived from the structured rows (same duplicate-label check). *)
 

@@ -101,13 +101,6 @@ let write_bytes t ~pa b =
   touch t pa (Bytes.length b);
   Bytes.blit b 0 t.data pa (Bytes.length b)
 
-let write_sub t ~pa ~src ~src_off ~len =
-  check t pa len "write";
-  if src_off < 0 || src_off + len > Bytes.length src then
-    invalid_arg "Guest_mem.write_sub: source range";
-  touch t pa len;
-  Bytes.blit src src_off t.data pa len
-
 let read_bytes t ~pa ~len =
   check t pa len "read";
   Bytes.sub t.data pa len

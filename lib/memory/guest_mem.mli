@@ -35,8 +35,6 @@ val scrub : t -> unit
 val write_bytes : t -> pa:int -> bytes -> unit
 (** [write_bytes t ~pa b] copies all of [b] to physical address [pa]. *)
 
-val write_sub : t -> pa:int -> src:bytes -> src_off:int -> len:int -> unit
-
 val read_bytes : t -> pa:int -> len:int -> bytes
 
 val copy_within : t -> src:int -> dst:int -> len:int -> unit

@@ -202,6 +202,3 @@ let restore ch t ~working_set_pages =
   List.iter (fun (pa, data) -> Guest_mem.write_bytes mem ~pa data) t.frames;
   let stats = Imk_guest.Runtime.verify_boot mem t.params in
   { Vmm.config = t.config; params = t.params; stats; mem }
-
-let verify_restored (r : Vmm.boot_result) =
-  Imk_guest.Runtime.verify_boot r.Vmm.mem r.Vmm.params

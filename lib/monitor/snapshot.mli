@@ -65,6 +65,3 @@ val restore :
     magnitude below a boot. The restored guest passes the same integrity
     verification as a booted one (the clone is exact — including its
     randomization). *)
-
-val verify_restored : Vmm.boot_result -> Imk_guest.Runtime.verify_stats
-(** Run the guest's integrity walk on a restored clone. *)

@@ -23,19 +23,16 @@ val summarize : float list -> summary
     (NaN or infinity): a non-finite measurement is an upstream bug and
     must not be averaged into telemetry. *)
 
-val summarize_array : float array -> summary
-(** [summarize_array xs] is [summarize] over an array (not modified). *)
-
 val summarize_sorted : float array -> summary
-(** [summarize_sorted xs] is [summarize_array xs] for an [xs] the caller
+(** [summarize_sorted xs] is [summarize] over [xs] for an [xs] the caller
     has already sorted ascending, skipping the internal comparison sort.
     Hot paths that sort large integer-valued samples with a radix pass
     (e.g. fleet SLO telemetry) use this to avoid paying
     [Array.sort Float.compare]'s closure-per-comparison cost twice.
     Raises [Invalid_argument] if [xs] is empty, contains a non-finite
     sample, or is not ascending. (Moments are accumulated in array
-    order, so the result can differ from [summarize_array] on the
-    unsorted array by float-rounding in [mean]/[stddev] only.) *)
+    order, so the result can differ from [summarize] on the unsorted
+    array by float-rounding in [mean]/[stddev] only.) *)
 
 val empty : summary
 (** [empty] is the summary of a phase with no samples: [n = 0] and every
@@ -56,6 +53,3 @@ val ratio : float -> float -> float
 val pct_change : float -> float -> float
 (** [pct_change base v] is the percentage change of [v] relative to [base],
     e.g. [pct_change 100. 104. = 4.]. *)
-
-val pp_summary : Format.formatter -> summary -> unit
-(** Pretty-printer used in experiment reports. *)

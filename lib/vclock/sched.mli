@@ -33,9 +33,6 @@ type rclass =
   | Disk  (** shared disk-read bandwidth (image/blob reads) *)
   | Decompress  (** bounded pool of per-core decompress slots *)
 
-val rclass_name : rclass -> string
-(** ["disk"] / ["decompress"], for stats rows and error text. *)
-
 val create : ?disk_capacity:int -> ?decompress_slots:int -> unit -> t
 (** [create ()] is an empty scheduler at time 0. Capacities default to 1
     (full contention); [Invalid_argument] if either is below 1. *)
@@ -91,25 +88,3 @@ type rstats = {
 
 val resource_stats : t -> rclass -> rstats
 (** Conservation/FIFO counters for the test suites (DESIGN.md §10). *)
-
-(** The event heap, exposed for the qcheck ordering property: dequeue
-    order must equal a stable sort by [(key, seq)]. Parallel int arrays
-    (the [lib/fleet/sim.ml] pattern) — no per-event allocation. *)
-module Heap : sig
-  type 'a t
-
-  val create : dummy:'a -> 'a t
-  (** [dummy] backfills popped slots so payloads don't leak. *)
-
-  val len : 'a t -> int
-  val push : 'a t -> key:int -> seq:int -> 'a -> unit
-
-  val min_key : 'a t -> int
-  (** Key of the minimum element; [Invalid_argument] when empty. *)
-
-  val min_seq : 'a t -> int
-  (** Sequence number of the minimum element. *)
-
-  val pop : 'a t -> 'a
-  (** Remove and return the minimum element's payload. *)
-end

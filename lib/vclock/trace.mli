@@ -16,9 +16,6 @@ type phase =
 val phase_name : phase -> string
 (** [phase_name p] is the label used in reports ("In-Monitor", ...). *)
 
-val all_phases : phase list
-(** The four phases in presentation order. *)
-
 type span = { label : string; phase : phase; start_ns : int; stop_ns : int }
 
 type t
@@ -50,7 +47,8 @@ val phase_total : t -> phase -> int
     Nested spans of the same phase are not double-counted. *)
 
 val breakdown : t -> (phase * int) list
-(** [breakdown t] is [phase_total] for each of {!all_phases}, in order. *)
+(** [breakdown t] is [phase_total] for each of the four phases, in
+    presentation order. *)
 
 val total : t -> int
 (** [total t] is the overall traced duration (sum of the breakdown). *)

@@ -138,24 +138,11 @@ let diffcheck_jobs_invariant () =
     let ws =
       Imk_harness.Workspace.create ~scale:4 ~functions_override:40 ()
     in
-    Imk_harness.Experiments.diffcheck ~runs:3 ws
+    Testkit.run_experiment ~runs:3 "diffcheck" ws
   in
   Fun.protect
     ~finally:(fun () -> Imk_harness.Boot_runner.default_jobs := saved)
-    (fun () ->
-      let a = run 1 and b = run 4 in
-      check
-        Alcotest.(list (list string))
-        "table rows identical"
-        (Imk_util.Table.rows a.Imk_harness.Experiments.table)
-        (Imk_util.Table.rows b.Imk_harness.Experiments.table);
-      check
-        Alcotest.(list string)
-        "notes identical" a.Imk_harness.Experiments.notes
-        b.Imk_harness.Experiments.notes;
-      check Alcotest.bool "telemetry rows identical" true
-        (a.Imk_harness.Experiments.telemetry
-        = b.Imk_harness.Experiments.telemetry))
+    (fun () -> Testkit.check_outputs_identical (run 1) (run 4))
 
 let () =
   Alcotest.run "check"

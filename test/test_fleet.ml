@@ -272,24 +272,11 @@ let fleet_jobs_invariant () =
   let run jobs =
     Imk_harness.Boot_runner.default_jobs := jobs;
     let ws = Imk_harness.Workspace.create ~scale:4 ~functions_override:50 () in
-    Imk_harness.Experiments.fleet ~runs:2 ~requests:1500 ws
+    Testkit.run_experiment "fleet" ws
   in
   Fun.protect
     ~finally:(fun () -> Imk_harness.Boot_runner.default_jobs := saved)
-    (fun () ->
-      let a = run 1 and b = run 4 in
-      check
-        Alcotest.(list (list string))
-        "table rows identical"
-        (Imk_util.Table.rows a.Imk_harness.Experiments.table)
-        (Imk_util.Table.rows b.Imk_harness.Experiments.table);
-      check
-        Alcotest.(list string)
-        "notes identical" a.Imk_harness.Experiments.notes
-        b.Imk_harness.Experiments.notes;
-      check Alcotest.bool "telemetry rows identical" true
-        (a.Imk_harness.Experiments.telemetry
-        = b.Imk_harness.Experiments.telemetry))
+    (fun () -> Testkit.check_outputs_identical (run 1) (run 4))
 
 let () =
   Alcotest.run "fleet"

@@ -145,7 +145,7 @@ let contains haystack needle =
   go 0
 
 let test_telemetry_json () =
-  let o = Experiments.fig6 ~runs:2 (small_ws ()) in
+  let o = Testkit.run_experiment "fig6" (small_ws ()) in
   let rows = Telemetry.rows o in
   check int "one row per method" 4 (List.length rows);
   let means = Telemetry.boot_means o in
@@ -190,7 +190,7 @@ let mk_row label samples phases =
 let test_schema2_roundtrip () =
   (* to_json -> of_json preserves every summary field to the emitted
      %.6f ms precision, phases included *)
-  let o = Experiments.fig6 ~runs:2 (small_ws ()) in
+  let o = Testkit.run_experiment "fig6" (small_ws ()) in
   let rows = Telemetry.rows o in
   let f =
     Telemetry.of_json
@@ -400,12 +400,11 @@ let note_contains o needle =
         && (String.sub n i (String.length needle) = needle || go (i + 1))
       in
       String.length needle <= String.length n && go 0)
-    o.Experiments.notes
+    o.Experiment.notes
 
 let test_table1_smoke () =
-  let o = Experiments.table1 (small_ws ()) in
-  check Alcotest.string "id" "table1" o.Experiments.id;
-  let rendered = Imk_util.Table.render o.Experiments.table in
+  let o = Testkit.run_experiment "table1" (small_ws ()) in
+  let rendered = Imk_util.Table.render o.Experiment.table in
   check Alcotest.bool "has all nine kernels" true
     (List.for_all
        (fun k ->
@@ -417,30 +416,56 @@ let test_table1_smoke () =
        [ "lupine-nokaslr"; "aws-fgkaslr"; "ubuntu-kaslr" ])
 
 let test_fig6_smoke () =
-  let o = Experiments.fig6 ~runs:2 (small_ws ()) in
+  let o = Testkit.run_experiment "fig6" (small_ws ()) in
   check Alcotest.bool "direct fastest" true
     (note_contains o "> uncompressed(direct)")
 
 let test_fig3_smoke () =
-  let o = Experiments.fig3 ~runs:2 (small_ws ()) in
+  let o = Testkit.run_experiment "fig3" (small_ws ()) in
   check Alcotest.bool "lz4 wins" true (note_contains o "fastest codec: lz4")
 
 let test_security_smoke () =
-  let o = Experiments.security (small_ws ()) in
-  check Alcotest.string "id" "security" o.Experiments.id
+  let o = Testkit.run_experiment "security" (small_ws ()) in
+  check int "three schemes" 3 (List.length (Imk_util.Table.rows o.Experiment.table))
 
-let test_by_id_lookup () =
-  check Alcotest.bool "fig9 known" true (Experiments.by_id "fig9" <> None);
-  check Alcotest.bool "unknown" true (Experiments.by_id "fig99" = None);
-  (* every advertised id resolves *)
+let test_registry () =
+  let ids = List.map (fun (e : Experiment.t) -> e.Experiment.id) Experiments.all in
+  check int "22 experiments" 22 (List.length ids);
+  check int "ids unique" (List.length ids)
+    (List.length (List.sort_uniq compare ids));
   List.iter
     (fun id ->
-      check Alcotest.bool (id ^ " resolves") true (Experiments.by_id id <> None))
-    Experiments.all_ids
+      match Experiments.find id with
+      | Some e -> check Alcotest.string (id ^ " resolves") id e.Experiment.id
+      | None -> Alcotest.failf "%s does not resolve" id)
+    ids;
+  check Alcotest.bool "unknown" true (Experiments.find "fig99" = None)
+
+let test_gate_constructor () =
+  let ok ~cases ~failures =
+    (Experiment.gate ~name:"g" ~cases ~failures "detail").Experiment.ok
+  in
+  check Alcotest.bool "clean gate passes" true (ok ~cases:5 ~failures:0);
+  check Alcotest.bool "a failing count fails" false (ok ~cases:5 ~failures:1);
+  check Alcotest.bool "zero cases fail" false (ok ~cases:0 ~failures:0)
+
+(* the four gated campaigns at smoke size: each reports at least one
+   named check, and every check holds *)
+let test_gated_campaigns () =
+  List.iter
+    (fun id ->
+      let o = Testkit.run_experiment id (small_ws ()) in
+      check Alcotest.bool (id ^ " has checks") true (o.Experiment.checks <> []);
+      List.iter
+        (fun (c : Experiment.check) ->
+          check Alcotest.bool
+            (Printf.sprintf "%s %s: %s" id c.Experiment.name c.Experiment.detail)
+            true c.Experiment.ok)
+        o.Experiment.checks)
+    [ "faults"; "resilience"; "diffcheck"; "fleet" ]
 
 let test_throughput_smoke () =
-  let o = Experiments.throughput ~runs:5 (small_ws ()) in
-  check Alcotest.string "id" "throughput" o.Experiments.id;
+  let o = Testkit.run_experiment ~runs:5 "throughput" (small_ws ()) in
   (* the headline direction: fgkaslr costs more throughput than kaslr *)
   check Alcotest.bool "ordering note present" true
     (note_contains o "FGKASLR costs")
@@ -453,13 +478,13 @@ let test_fig9_parallel_identical () =
     Fun.protect
       ~finally:(fun () -> Boot_runner.default_jobs := 1)
       (fun () ->
-        let o = Experiments.fig9 ~runs:2 (small_ws ()) in
-        Imk_util.Table.render o.Experiments.table)
+        let o = Testkit.run_experiment "fig9" (small_ws ()) in
+        Imk_util.Table.render o.Experiment.table)
   in
   check Alcotest.string "fig9 table identical" (render 1) (render 3)
 
 let test_zygote_smoke () =
-  let o = Experiments.ablation_zygote ~runs:3 (small_ws ()) in
+  let o = Testkit.run_experiment ~runs:3 "ablation-zygote" (small_ws ()) in
   check Alcotest.bool "restores faster" true (note_contains o "faster than boots")
 
 let () =
@@ -504,7 +529,9 @@ let () =
           Alcotest.test_case "fig3" `Slow test_fig3_smoke;
           Alcotest.test_case "fig6" `Quick test_fig6_smoke;
           Alcotest.test_case "security" `Quick test_security_smoke;
-          Alcotest.test_case "by_id" `Quick test_by_id_lookup;
+          Alcotest.test_case "registry" `Quick test_registry;
+          Alcotest.test_case "gate constructor" `Quick test_gate_constructor;
+          Alcotest.test_case "gated campaigns pass" `Slow test_gated_campaigns;
           Alcotest.test_case "throughput" `Slow test_throughput_smoke;
           Alcotest.test_case "fig9 parallel" `Slow test_fig9_parallel_identical;
           Alcotest.test_case "zygote" `Slow test_zygote_smoke;

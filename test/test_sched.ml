@@ -1,53 +1,13 @@
-(* The discrete-event scheduler (DESIGN.md §10): heap dequeue order,
-   resource conservation and FIFO grants, deterministic interleaving,
-   deadlines at scheduled span boundaries, and the contention sanity
-   envelope — capacity >= n fibers must be indistinguishable from solo
-   (vacuity guard), capacity 1 must serialize exactly. *)
+(* The discrete-event scheduler (DESIGN.md §10): resource conservation
+   and FIFO grants, deterministic interleaving, deadlines at scheduled
+   span boundaries, and the contention sanity envelope — capacity >= n
+   fibers must be indistinguishable from solo (vacuity guard), capacity
+   1 must serialize exactly. The event heap's own suite is in test_util. *)
 
 open Imk_vclock
 
 let check = Alcotest.check
 let int = Alcotest.int
-
-(* --- event heap --- *)
-
-let qcheck_heap_ordering =
-  QCheck.Test.make ~count:500 ~name:"heap dequeue = stable sort by (key, seq)"
-    QCheck.(list (int_bound 1000))
-    (fun keys ->
-      let h = Sched.Heap.create ~dummy:(-1) in
-      List.iteri (fun seq key -> Sched.Heap.push h ~key ~seq seq) keys;
-      let rec drain acc =
-        if Sched.Heap.len h = 0 then List.rev acc
-        else
-          let key = Sched.Heap.min_key h in
-          let seq = Sched.Heap.min_seq h in
-          let payload = Sched.Heap.pop h in
-          drain ((key, seq, payload) :: acc)
-      in
-      let expected =
-        List.mapi (fun seq key -> (key, seq, seq)) keys
-        |> List.stable_sort (fun (ka, sa, _) (kb, sb, _) ->
-               match compare ka kb with 0 -> compare sa sb | c -> c)
-      in
-      drain [] = expected)
-
-let test_heap_empty_access () =
-  let h = Sched.Heap.create ~dummy:0 in
-  check int "empty" 0 (Sched.Heap.len h);
-  (match Sched.Heap.min_key h with
-  | (_ : int) -> Alcotest.fail "min_key on empty heap"
-  | exception Invalid_argument _ -> ());
-  (match Sched.Heap.pop h with
-  | (_ : int) -> Alcotest.fail "pop on empty heap"
-  | exception Invalid_argument _ -> ());
-  (* growth past the initial 64-slot arrays keeps ordering *)
-  for i = 199 downto 0 do
-    Sched.Heap.push h ~key:i ~seq:i i
-  done;
-  for i = 0 to 199 do
-    check int "grown heap in order" i (Sched.Heap.pop h)
-  done
 
 (* --- random fiber scenarios --- *)
 
@@ -366,12 +326,6 @@ let test_ample_capacity_pinned () =
 let () =
   Alcotest.run "sched"
     [
-      ( "heap",
-        [
-          Alcotest.test_case "empty access and growth" `Quick
-            test_heap_empty_access;
-          Testkit.to_alcotest qcheck_heap_ordering;
-        ] );
       ( "resources",
         [
           Testkit.to_alcotest qcheck_resource_conservation;

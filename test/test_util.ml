@@ -1,4 +1,5 @@
-(* Tests for Imk_util: byte codecs, checksums, stats, tables, units. *)
+(* Tests for Imk_util: byte codecs, checksums, stats, tables, units, the
+   event heap. *)
 
 open Imk_util
 
@@ -266,6 +267,46 @@ let qcheck_stats_percentiles_ordered =
       | exception Invalid_argument _ ->
           List.exists (fun x -> not (Float.is_finite x)) xs)
 
+(* --- event heap (shared by Imk_vclock.Sched and Imk_fleet.Sim) --- *)
+
+let qcheck_heap_ordering =
+  QCheck.Test.make ~count:500 ~name:"dequeue = stable sort by (key, seq)"
+    QCheck.(list (int_bound 1000))
+    (fun keys ->
+      let h = Heap.create ~dummy:(-1) in
+      List.iteri (fun seq key -> Heap.push h ~key ~seq seq) keys;
+      let rec drain acc =
+        if Heap.len h = 0 then List.rev acc
+        else
+          let key = Heap.min_key h in
+          let seq = Heap.min_seq h in
+          let payload = Heap.pop h in
+          drain ((key, seq, payload) :: acc)
+      in
+      let expected =
+        List.mapi (fun seq key -> (key, seq, seq)) keys
+        |> List.stable_sort (fun (ka, sa, _) (kb, sb, _) ->
+               match compare ka kb with 0 -> compare sa sb | c -> c)
+      in
+      drain [] = expected)
+
+let test_heap_empty_access () =
+  let h = Heap.create ~dummy:0 in
+  check int "empty" 0 (Heap.len h);
+  (match Heap.min_key h with
+  | (_ : int) -> Alcotest.fail "min_key on empty heap"
+  | exception Invalid_argument _ -> ());
+  (match Heap.pop h with
+  | (_ : int) -> Alcotest.fail "pop on empty heap"
+  | exception Invalid_argument _ -> ());
+  (* growth past the initial 64-slot arrays keeps ordering *)
+  for i = 199 downto 0 do
+    Heap.push h ~key:i ~seq:i i
+  done;
+  for i = 0 to 199 do
+    check int "grown heap in order" i (Heap.pop h)
+  done
+
 let () =
   Alcotest.run "imk_util"
     [
@@ -317,5 +358,11 @@ let () =
           Alcotest.test_case "time formatting" `Quick test_units_time;
           Alcotest.test_case "table render" `Quick test_table_render;
           Alcotest.test_case "table overflow" `Quick test_table_too_many_cells;
+        ] );
+      ( "heap",
+        [
+          Alcotest.test_case "empty access and growth" `Quick
+            test_heap_empty_access;
+          Testkit.to_alcotest qcheck_heap_ordering;
         ] );
     ]

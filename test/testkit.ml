@@ -163,3 +163,26 @@ let to_alcotest ?speed_level test =
           name seed seed
           (Filename.basename Sys.executable_name);
         raise e )
+
+(* --- experiments through the registry --- *)
+
+let run_experiment ?(runs = 2) ?(requests = 1500) id ws =
+  let module E = Imk_harness.Experiment in
+  match Imk_harness.Experiments.find id with
+  | Some e -> e.E.run { E.default with E.runs; requests } ws
+  | None -> Alcotest.failf "no experiment %S in the registry" id
+
+(* two runs of one experiment (e.g. --jobs 1 vs 4) must agree on every
+   output field: table, notes, telemetry and checks *)
+let check_outputs_identical (a : Imk_harness.Experiment.output)
+    (b : Imk_harness.Experiment.output) =
+  let module E = Imk_harness.Experiment in
+  Alcotest.check
+    Alcotest.(list (list string))
+    "table rows identical"
+    (Imk_util.Table.rows a.E.table)
+    (Imk_util.Table.rows b.E.table);
+  Alcotest.check Alcotest.(list string) "notes identical" a.E.notes b.E.notes;
+  Alcotest.check Alcotest.bool "telemetry rows identical" true
+    (a.E.telemetry = b.E.telemetry);
+  Alcotest.check Alcotest.bool "checks identical" true (a.E.checks = b.E.checks)
