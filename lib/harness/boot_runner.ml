@@ -17,7 +17,7 @@ let trace_sink : (Trace.t -> unit) option ref = ref None
 let emit_trace trace =
   match !trace_sink with Some f -> f trace | None -> ()
 
-let boot_once ?(jitter = true) ?arena ?mem ?plans ~seed ~cache vm =
+let boot_once ?(jitter = true) ?mem ?plans ~seed ~cache vm =
   let clock = Clock.create () in
   let trace = Trace.create clock in
   let jitter_rng =
@@ -26,7 +26,7 @@ let boot_once ?(jitter = true) ?arena ?mem ?plans ~seed ~cache vm =
   in
   let ch = Charge.create ?jitter:jitter_rng trace Cost_model.default in
   let result =
-    Imk_monitor.Vmm.boot ?arena ?mem ?plans ch cache
+    Imk_monitor.Vmm.boot ?mem ?plans ch cache
       { vm with Imk_monitor.Vm_config.seed }
   in
   emit_trace trace;
@@ -166,10 +166,9 @@ type contended_stats = {
   makespan : Imk_util.Stats.summary;
 }
 
-let boot_contended ?(warmups = 5) ?jobs ?plans ~n ~runs ~cache ~make_vm () =
+let boot_contended ?(warmups = 5) ?plans ~n ~runs ~cache ~make_vm () =
   if n < 1 then invalid_arg "Boot_runner.boot_contended: n < 1";
   if runs < 0 then invalid_arg "Boot_runner.boot_contended: negative runs";
-  let jobs = max 1 (Option.value ~default:!default_jobs jobs) in
   let disk_capacity, decompress_slots = !contend_capacities in
   (* warm the shared cache (and plan cache / lazy image builds)
      sequentially, exactly like [boot_many]: the boots' read set does not
@@ -181,8 +180,9 @@ let boot_contended ?(warmups = 5) ?jobs ?plans ~n ~runs ~cache ~make_vm () =
   (* one run = a fresh scheduler booting [n] guests concurrently against
      a private clone of the warmed cache. Every input is a pure function
      of the run index — seeds, jitter, cache state, and the scheduler's
-     event order (single-domain, seq-stamped) — so fanning the runs over
-     [jobs] workers preserves bit-identical telemetry. *)
+     event order (single-domain, seq-stamped). Runs go one at a time: a
+     run holds [n] live guests, so fanning runs out would multiply peak
+     memory by the fan-out (12 x 256 MiB per fig9 run). *)
   let one_run r =
     let cache = Imk_storage.Page_cache.clone cache in
     let sched =
@@ -214,7 +214,12 @@ let boot_contended ?(warmups = 5) ?jobs ?plans ~n ~runs ~cache ~make_vm () =
     (per_boot, float_of_int (Imk_vclock.Sched.now sched))
   in
   let per_run =
-    Imk_util.Par.map_tasks ~jobs ~tasks:runs (fun ~worker:_ r -> one_run (r + 1))
+    Array.init runs (fun r ->
+        (* the previous run's [n] guests are garbage by now: collect them
+           before this run allocates [n] more, so peak memory holds one
+           run's guests rather than two *)
+        if r > 0 then Gc.full_major ();
+        one_run (r + 1))
   in
   {
     per_boot =

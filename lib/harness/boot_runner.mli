@@ -85,7 +85,6 @@ type contended_stats = {
 
 val boot_contended :
   ?warmups:int ->
-  ?jobs:int ->
   ?plans:Imk_monitor.Plan_cache.t ->
   n:int ->
   runs:int ->
@@ -100,8 +99,10 @@ val boot_contended :
     spans (DESIGN.md §10). [warmups] (default 5) sequential boots prime
     the shared cache first; each run then gets a private
     [Page_cache.clone], a fresh scheduler and [contend_seed]-pure seeds,
-    so the returned stats are bit-identical for any [jobs] fan-out
-    (runs are fanned; each run's scheduler stays single-domain). *)
+    so the returned stats are bit-identical for any ambient [--jobs].
+    Runs execute one at a time on the calling domain, and the previous
+    run's guests are collected before the next run allocates: each run
+    holds [n] live guests, so peak memory is one run's worth. *)
 
 val run_seed : int -> int64
 (** Seed of recorded run [i] (1-based). Shared with
@@ -115,7 +116,6 @@ val contend_seed : run:int -> slot:int -> int64
 
 val boot_once :
   ?jitter:bool ->
-  ?arena:Imk_memory.Arena.t ->
   ?mem:Imk_memory.Guest_mem.t ->
   ?plans:Imk_monitor.Plan_cache.t ->
   seed:int64 ->
@@ -124,11 +124,10 @@ val boot_once :
   Imk_vclock.Trace.t * Imk_monitor.Vmm.boot_result
 (** One instrumented boot, returning the full trace (for span-level
     analyses like Figure 5) and the result (for layout-dependent
-    analyses like LEBench and the attack simulation). With [arena] the
-    guest memory is borrowed from the pool; the caller releases it when
-    done with the result. With [mem] (a caller-owned buffer, typically
-    inside an [Imk_memory.Arena.with_buffer] bracket) the boot runs in
-    place and the caller keeps ownership either way. *)
+    analyses like LEBench and the attack simulation). With [mem] (a
+    caller-owned buffer, typically inside an
+    [Imk_memory.Arena.with_buffer] bracket) the boot runs in place and
+    the caller keeps ownership either way. *)
 
 val spans_by_label : Imk_vclock.Trace.t -> (string * int) list
 (** Aggregate span durations by label, for breakdowns finer than the

@@ -2,7 +2,6 @@
    differential-oracle sweep and fleet serving. Each returns typed
    checks built with [Experiment.gate]. *)
 open Imk_kernel
-open Imk_monitor
 open Experiment
 open Exp_common
 
@@ -15,7 +14,6 @@ let faults { runs; _ } ws =
      corrupted bytes is a validator bug. Every cell run is fully
      private (own disk, cache, armed fault), so the table is
      bit-identical for any --jobs value. *)
-  let module F = Imk_fault.Failure in
   let module I = Imk_fault.Inject in
   let module S = Boot_supervisor in
   let table =
@@ -24,119 +22,60 @@ let faults { runs; _ } ws =
         [ "path"; "fault"; "runs"; "ok"; "recovered"; "failed"; "retries";
           "silent"; "failure kinds"; "total ms" ]
   in
-  let mem = 64 * 1024 * 1024 in
-  let preset = Config.Aws in
   let fault_seed run = (131 * run) + 7 in
-  let kcfg = Workspace.config ws preset Config.Kaslr in
-  (* build the cell inputs up front, on the calling domain *)
-  let direct_k = Workspace.vmlinux_path ws preset Config.Kaslr in
-  let direct_r = Workspace.relocs_path ws preset Config.Kaslr in
-  let bz_k =
-    Workspace.bzimage_path ws preset Config.Kaslr ~codec:"lz4"
-      ~bz:Bzimage.Standard
-  in
-  let file name = (name, Imk_storage.Disk.find (Workspace.disk ws) name) in
-  let direct_files = [ file direct_k; file direct_r ] in
-  let bz_files = [ file bz_k ] in
-  let direct_vmcfg ~seed =
-    Vm_config.make ~rando:Vm_config.Rando_kaslr ~mem_bytes:mem
-      ~relocs_path:(Some direct_r) ~kernel_path:direct_k ~kernel_config:kcfg
-      ~seed ()
-  in
-  let bz_vmcfg ~seed =
-    Vm_config.make ~flavor:Vm_config.In_monitor_fgkaslr
-      ~rando:Vm_config.Rando_kaslr ~mem_bytes:mem
-      ~loader:Vm_config.Loader_stripped ~kernel_path:bz_k ~kernel_config:kcfg
-      ~seed ()
-  in
-  (* per-run context: private disk seeded with the pristine cell files,
-     then the fault armed against it with a run-pure seed *)
-  let ctx_for ~files ~kernel_path ?relocs_path kind ~run =
-    let disk = Imk_storage.Disk.create () in
-    List.iter (fun (name, b) -> Imk_storage.Disk.add disk ~name b) files;
-    let inject =
-      match kind with
-      | None -> None
-      | Some k ->
-          (I.arm k ~seed:(fault_seed run) ~disk ~kernel_path ?relocs_path ())
-            .I.inject
-    in
-    (* the plan cache is deliberately shared across runs and faults:
-       content addressing must keep corrupted images from ever resolving
-       to a pristine image's plan, and this campaign is the proof *)
-    { S.cache = Imk_storage.Page_cache.create disk;
-      inject;
-      plans = Workspace.plans ws }
-  in
+  let direct = direct_cell ws Config.Aws and bz = bz_cell ws Config.Aws in
   let silent_total = ref 0 and fault_runs = ref 0 in
   let rows = ref [] in
   let add_row ~path ~fault_label ~fault_armed (reports : S.report array) =
-    if Array.length reports > 0 then
-      rows :=
-        {
-          label = path ^ "/" ^ fault_label;
-          total =
-            Imk_util.Stats.summarize
-              (Array.to_list
-                 (Array.map (fun (r : S.report) -> float_of_int r.S.total_ns)
-                    reports));
-          phases = [];
-        }
-        :: !rows;
-    let ok = ref 0 and recovered = ref 0 and failed = ref 0 in
-    let retries = ref 0 and silent = ref 0 in
-    let kinds = ref [] and total = ref 0. in
-    Array.iter
-      (fun (r : S.report) ->
-        (match r.S.outcome with
-        | Ok _ ->
-            incr ok;
-            if r.S.events <> [] then incr recovered
-            else if fault_armed then incr silent
-        | Error f ->
-            incr failed;
-            let k = F.kind_name f in
-            if not (List.mem k !kinds) then kinds := k :: !kinds);
-        List.iter
-          (function F.Retried _ -> incr retries | _ -> ())
-          r.S.events;
-        total := !total +. float_of_int r.S.total_ns)
-      reports;
-    let n = Array.length reports in
+    let mean_ns =
+      match
+        Array.to_list
+          (Array.map (fun (r : S.report) -> float_of_int r.S.total_ns) reports)
+      with
+      | [] -> 0.
+      | totals ->
+          let total = Imk_util.Stats.summarize totals in
+          let label = path ^ "/" ^ fault_label in
+          rows := { label; total; phases = [] } :: !rows;
+          total.Imk_util.Stats.mean
+    in
+    let t = tally (Array.map (fun r -> (r, fault_armed)) reports) in
     Imk_util.Table.add_row table
       [
         path;
         fault_label;
-        string_of_int n;
-        string_of_int !ok;
-        string_of_int !recovered;
-        string_of_int !failed;
-        string_of_int !retries;
-        string_of_int !silent;
-        (match List.rev !kinds with [] -> "-" | l -> String.concat "," l);
-        msv
-          (if n = 0 then 0.
-           else Imk_util.Units.ns_float_to_ms (!total /. float_of_int n));
+        string_of_int (Array.length reports);
+        string_of_int t.ok;
+        string_of_int t.recovered;
+        string_of_int t.failed;
+        string_of_int t.retries;
+        string_of_int t.silent;
+        (match t.kinds with [] -> "-" | l -> String.concat "," l);
+        msn mean_ns;
       ];
-    silent_total := !silent_total + !silent;
-    if fault_armed then fault_runs := !fault_runs + n
+    silent_total := !silent_total + t.silent;
+    fault_runs := !fault_runs + t.armed
   in
-  let sweep ~path ~files ~kernel_path ?relocs_path ~make_vm kinds =
+  let sweep cell kinds =
     List.iter
       (fun kind ->
+        (* the cell's files, re-armed per run with a run-pure seed *)
         let reports =
           S.supervise_many ~runs
-            ~ctx_for:(ctx_for ~files ~kernel_path ?relocs_path kind)
-            ~make_vm ()
+            ~ctx_for:(fun ~run ->
+              run_ctx
+                ?fault:(Option.map (fun k -> (k, fault_seed run)) kind)
+                ws cell)
+            ~make_vm:cell.make_vm ()
         in
         let fault_label =
           match kind with None -> "none" | Some k -> I.name k
         in
-        add_row ~path ~fault_label ~fault_armed:(kind <> None) reports)
+        add_row ~path:cell.path ~fault_label ~fault_armed:(kind <> None)
+          reports)
       kinds
   in
-  sweep ~path:"direct/kaslr" ~files:direct_files ~kernel_path:direct_k
-    ~relocs_path:direct_r ~make_vm:direct_vmcfg
+  sweep direct
     [
       None;
       Some I.Truncate_image;
@@ -147,8 +86,7 @@ let faults { runs; _ } ws =
       Some I.Read_fault_entry_magic;
       Some (I.Transient_init 1);
     ];
-  sweep ~path:"bz/lz4/kaslr" ~files:bz_files ~kernel_path:bz_k
-    ~make_vm:bz_vmcfg
+  sweep bz
     [
       None;
       Some I.Flip_image_magic;
@@ -158,35 +96,21 @@ let faults { runs; _ } ws =
     ];
   (* snapshot path: one base snapshot per campaign, corrupted per run;
      a failed restore must degrade to a verify-green cold boot *)
-  let snap_blob =
-    let trace = Imk_vclock.Trace.create (Imk_vclock.Clock.create ()) in
-    let ch = Imk_vclock.Charge.create trace Imk_vclock.Cost_model.default in
-    let base =
-      Vmm.boot ?plans:(Workspace.plans ws) ch (Workspace.cache ws)
-        (direct_vmcfg ~seed:404L)
-    in
-    Snapshot.serialize (Snapshot.capture base)
-  in
+  let snap_blob = snapshot_blob ws direct in
   let snap_path = "base.snapshot" in
-  let jobs = max 1 !Boot_runner.default_jobs in
   List.iter
     (fun (label, corrupt) ->
       let reports =
-        Imk_util.Par.map_tasks ~jobs ~tasks:runs (fun ~worker:_ i ->
+        fan_out ~tasks:runs (fun ~worker:_ i ->
             let run = i + 1 in
             let seed = Boot_runner.run_seed run in
-            let disk = Imk_storage.Disk.create () in
-            List.iter
-              (fun (name, b) -> Imk_storage.Disk.add disk ~name b)
-              direct_files;
-            Imk_storage.Disk.add disk ~name:snap_path
-              (corrupt ~seed:(fault_seed run) snap_blob);
             let ctx =
-              S.plain_ctx ?plans:(Workspace.plans ws)
-                (Imk_storage.Page_cache.create disk)
+              run_ctx
+                ~extra:[ (snap_path, corrupt ~seed:(fault_seed run) snap_blob) ]
+                ws direct
             in
             S.supervise_snapshot ~seed ~ctx ~snapshot_path:snap_path
-              ~working_set_pages:2048 (direct_vmcfg ~seed))
+              ~working_set_pages:2048 (direct.make_vm ~seed))
       in
       add_row ~path:"snapshot/kaslr" ~fault_label:label
         ~fault_armed:(label <> "none") reports)
@@ -219,16 +143,13 @@ let faults { runs; _ } ws =
 (* ---------- Resilience campaign: weather x preset x boot path ---------- *)
 
 (* one swept (preset, boot-path) point, built up front on the calling
-   domain: pristine file bytes, injectable seams, and the calibrated
+   domain: the kit cell, its injectable seams, and the calibrated
    per-attempt virtual-time budget *)
 type resilience_cell = {
-  c_path : string;  (* "aws/direct/kaslr" *)
-  c_files : (string * bytes) list;
-  c_kernel : string;
-  c_relocs : string option;
+  c_label : string;  (* "aws/direct/kaslr" *)
+  c_cell : cell;
   c_seams : Imk_fault.Inject.kind list;
   c_snapshot : (string * bytes) option;
-  c_make : seed:int64 -> Vm_config.t;
   c_budget : int;
 }
 
@@ -246,111 +167,57 @@ let resilience { runs; _ } ws =
   let module I = Imk_fault.Inject in
   let module W = Imk_fault.Weather in
   let module S = Boot_supervisor in
-  let mem = 64 * 1024 * 1024 in
-  let plans = Workspace.plans ws in
   let ms = Imk_util.Units.ns_float_to_ms in
-  let file name = (name, Imk_storage.Disk.find (Workspace.disk ws) name) in
-  let calibrated ~files ~make_vm =
-    (* a clean warm boot of the cell's config, deterministic (no
-       jitter); the attempt budget is 1.5x that — generous against ~1%
-       jitter, tight enough that a cold-cache overload overruns it *)
-    let disk = Imk_storage.Disk.create () in
-    List.iter (fun (n, b) -> Imk_storage.Disk.add disk ~name:n b) files;
-    let cache = Imk_storage.Page_cache.create disk in
-    List.iter (fun (n, _) -> Imk_storage.Page_cache.warm cache n) files;
-    let ctx = S.plain_ctx ?plans cache in
-    let r = S.supervise ~jitter:false ~seed:1L ~ctx (make_vm ~seed:1L) in
-    match r.S.outcome with
-    | Ok _ -> r.S.total_ns * 3 / 2
-    | Error f ->
-        invalid_arg ("resilience: calibration boot failed: " ^ F.describe f)
+  (* a clean warm boot of the cell's config, deterministic (no jitter);
+     the attempt budget is 1.5x that — generous against ~1% jitter,
+     tight enough that a cold-cache overload overruns it *)
+  let calibrated cell =
+    total_exn "resilience: calibration boot failed"
+      (S.supervise ~jitter:false ~seed:1L ~ctx:(run_ctx ~warm:true ws cell)
+         (cell.make_vm ~seed:1L))
+    * 3 / 2
   in
-  let direct_cell preset =
-    let variant = Config.Kaslr in
-    let k = Workspace.vmlinux_path ws preset variant in
-    let r = Workspace.relocs_path ws preset variant in
-    let kcfg = Workspace.config ws preset variant in
-    let files = [ file k; file r ] in
-    let make ~seed =
-      Vm_config.make ~rando:Vm_config.Rando_kaslr ~mem_bytes:mem
-        ~relocs_path:(Some r) ~kernel_path:k ~kernel_config:kcfg ~seed ()
-    in
+  let resilience_cell preset cell seams =
     {
-      c_path = pname preset ^ "/direct/kaslr";
-      c_files = files;
-      c_kernel = k;
-      c_relocs = Some r;
-      c_seams =
-        [
-          I.Truncate_image; I.Flip_image_magic; I.Flip_entry_magic;
-          I.Truncate_relocs; I.Flip_relocs_magic; I.Read_fault_entry_magic;
-        ];
+      c_label = pname preset ^ "/" ^ cell.path;
+      c_cell = cell;
+      c_seams = seams;
       c_snapshot = None;
-      c_make = make;
-      c_budget = calibrated ~files ~make_vm:make;
+      c_budget = calibrated cell;
     }
   in
-  let bz_cell preset =
-    let variant = Config.Kaslr in
-    let k =
-      Workspace.bzimage_path ws preset variant ~codec:"lz4" ~bz:Bzimage.Standard
-    in
-    let kcfg = Workspace.config ws preset variant in
-    let files = [ file k ] in
-    let make ~seed =
-      Vm_config.make ~flavor:Vm_config.In_monitor_fgkaslr
-        ~rando:Vm_config.Rando_kaslr ~mem_bytes:mem
-        ~loader:Vm_config.Loader_stripped ~kernel_path:k ~kernel_config:kcfg
-        ~seed ()
-    in
-    {
-      c_path = pname preset ^ "/bz/lz4/kaslr";
-      c_files = files;
-      c_kernel = k;
-      c_relocs = None;
-      c_seams = [ I.Flip_image_magic; I.Truncate_bzimage; I.Flip_bz_payload_crc ];
-      c_snapshot = None;
-      c_make = make;
-      c_budget = calibrated ~files ~make_vm:make;
-    }
+  let direct preset =
+    resilience_cell preset (direct_cell ws preset)
+      [
+        I.Truncate_image; I.Flip_image_magic; I.Flip_entry_magic;
+        I.Truncate_relocs; I.Flip_relocs_magic; I.Read_fault_entry_magic;
+      ]
   in
-  let snapshot_cell preset =
-    let d = direct_cell preset in
+  let bz preset =
+    resilience_cell preset (bz_cell ws preset)
+      [ I.Flip_image_magic; I.Truncate_bzimage; I.Flip_bz_payload_crc ]
+  in
+  let snapshot preset =
+    let d = direct preset in
     (* one base snapshot per campaign; per-run corruption is a seed-pure
        bit flip. The budget stays the cold-boot fallback's: a warm
        restore fits easily under it, a cold one overruns and degrades. *)
-    let blob =
-      let trace = Imk_vclock.Trace.create (Imk_vclock.Clock.create ()) in
-      let ch = Imk_vclock.Charge.create trace Imk_vclock.Cost_model.default in
-      let base = Vmm.boot ?plans ch (Workspace.cache ws) (d.c_make ~seed:404L) in
-      Snapshot.serialize (Snapshot.capture base)
-    in
+    let blob = snapshot_blob ws d.c_cell in
     let snap_path = "base.snapshot" in
     let restore_budget =
       (* a clean warm restore, deterministic; the cell budget must admit
          both it and the cold-boot fallback, so take the max with the
          direct cell's. A cold blob read still overruns it. *)
-      let disk = Imk_storage.Disk.create () in
-      List.iter (fun (n, b) -> Imk_storage.Disk.add disk ~name:n b) d.c_files;
-      Imk_storage.Disk.add disk ~name:snap_path blob;
-      let cache = Imk_storage.Page_cache.create disk in
-      List.iter
-        (fun n -> Imk_storage.Page_cache.warm cache n)
-        (snap_path :: List.map fst d.c_files);
-      let ctx = S.plain_ctx ?plans cache in
-      let r =
-        S.supervise_snapshot ~jitter:false ~seed:1L ~ctx
-          ~snapshot_path:snap_path ~working_set_pages:2048 (d.c_make ~seed:1L)
-      in
-      match r.S.outcome with
-      | Ok _ -> r.S.total_ns * 3 / 2
-      | Error f ->
-          invalid_arg
-            ("resilience: calibration restore failed: " ^ F.describe f)
+      let ctx = run_ctx ~warm:true ~extra:[ (snap_path, blob) ] ws d.c_cell in
+      total_exn "resilience: calibration restore failed"
+        (S.supervise_snapshot ~jitter:false ~seed:1L ~ctx
+           ~snapshot_path:snap_path ~working_set_pages:2048
+           (d.c_cell.make_vm ~seed:1L))
+      * 3 / 2
     in
     {
       d with
-      c_path = pname preset ^ "/snapshot/kaslr";
+      c_label = pname preset ^ "/snapshot/kaslr";
       (* a stand-in seam so the forecast draws corruptions at the normal
          rate; the run loop maps every drawn fault to a blob bit flip *)
       c_seams = [ I.Flip_image_magic ];
@@ -359,8 +226,7 @@ let resilience { runs; _ } ws =
     }
   in
   let cells =
-    List.map direct_cell presets
-    @ [ bz_cell Config.Aws; snapshot_cell Config.Aws ]
+    List.map direct presets @ [ bz Config.Aws; snapshot Config.Aws ]
   in
   let policy_for profile ~budget =
     let base = { S.default_policy with S.attempt_budget_ns = Some budget } in
@@ -374,10 +240,8 @@ let resilience { runs; _ } ws =
          (fun profile -> List.map (fun c -> (profile, c)) cells)
          W.all_profiles)
   in
-  let jobs = max 1 !Boot_runner.default_jobs in
   let per_cell =
-    Imk_util.Par.map_tasks ~jobs ~tasks:(Array.length tasks_arr)
-      (fun ~worker:_ ti ->
+    fan_out ~tasks:(Array.length tasks_arr) (fun ~worker:_ ti ->
         let profile, cell = tasks_arr.(ti) in
         let weather = W.make profile ~seed:(1 + ti) in
         let fleet =
@@ -387,21 +251,18 @@ let resilience { runs; _ } ws =
         for run = 1 to runs do
           let seed = Boot_runner.run_seed run in
           let fc = W.forecast weather ~run ~seams:cell.c_seams in
-          let disk = Imk_storage.Disk.create () in
-          List.iter
-            (fun (n, b) -> Imk_storage.Disk.add disk ~name:n b)
-            cell.c_files;
-          let inject, snap_names =
+          let fault_seed = W.fault_seed weather ~run in
+          let warm = not fc.W.cold in
+          let make_vm = cell.c_cell.make_vm in
+          let report =
             match cell.c_snapshot with
             | None ->
-                ( (match fc.W.fault with
-                  | None -> None
-                  | Some kind ->
-                      (I.arm kind ~seed:(W.fault_seed weather ~run) ~disk
-                         ~kernel_path:cell.c_kernel
-                         ?relocs_path:cell.c_relocs ())
-                        .I.inject),
-                  [] )
+                let ctx =
+                  run_ctx ~warm
+                    ?fault:(Option.map (fun k -> (k, fault_seed)) fc.W.fault)
+                    ws cell.c_cell
+                in
+                S.supervise ~fleet ~seed ~ctx (make_vm ~seed)
             | Some (snap_path, blob) ->
                 (* snapshot cells read weather as snapshot-blob
                    corruption: any drawn fault flips one bit of the
@@ -409,24 +270,13 @@ let resilience { runs; _ } ws =
                 let blob =
                   match fc.W.fault with
                   | None -> blob
-                  | Some _ ->
-                      I.flip_one_bit ~seed:(W.fault_seed weather ~run) blob
+                  | Some _ -> I.flip_one_bit ~seed:fault_seed blob
                 in
-                Imk_storage.Disk.add disk ~name:snap_path blob;
-                (None, [ snap_path ])
-          in
-          let cache = Imk_storage.Page_cache.create disk in
-          if not fc.W.cold then
-            List.iter
-              (fun n -> Imk_storage.Page_cache.warm cache n)
-              (List.map fst cell.c_files @ snap_names);
-          let ctx = { S.cache; inject; plans } in
-          let report =
-            match cell.c_snapshot with
-            | None -> S.supervise ~fleet ~seed ~ctx (cell.c_make ~seed)
-            | Some (snap_path, _) ->
+                let ctx =
+                  run_ctx ~warm ~extra:[ (snap_path, blob) ] ws cell.c_cell
+                in
                 S.supervise_snapshot ~fleet ~seed ~ctx ~snapshot_path:snap_path
-                  ~working_set_pages:2048 (cell.c_make ~seed)
+                  ~working_set_pages:2048 (make_vm ~seed)
           in
           out := (report, fc) :: !out
         done;
@@ -456,14 +306,13 @@ let resilience { runs; _ } ws =
       | W.Calm -> calm_ns := totals @ !calm_ns
       | W.Storm -> storm_ns := totals @ !storm_ns
       | W.Flaky -> ());
-      let ok = ref 0 and recovered = ref 0 and failed = ref 0 in
-      let short = ref 0 and silent = ref 0 and unrec = ref 0 in
-      let retries = ref 0 and aborts = ref 0 and fallbacks = ref 0 in
+      let t = tally (Array.map (fun (r, fc) -> (r, fc.W.fault <> None)) rf) in
+      fault_runs := !fault_runs + t.armed;
+      let short = ref 0 and unrec = ref 0 in
+      let aborts = ref 0 and fallbacks = ref 0 in
       let mttr_ns = ref [] in
       Array.iter
-        (fun ((r : S.report), (fc : W.forecast)) ->
-          let armed = fc.W.fault <> None in
-          if armed then incr fault_runs;
+        (fun ((r : S.report), _) ->
           let accounted_degradation =
             List.exists
               (function
@@ -475,7 +324,6 @@ let resilience { runs; _ } ws =
           in
           List.iter
             (function
-              | F.Retried _ -> incr retries
               | F.Deadline_aborted _ -> incr aborts
               | F.Fell_back_to_cold_boot _ -> incr fallbacks
               | F.Breaker_short_circuit _ -> incr short
@@ -483,21 +331,16 @@ let resilience { runs; _ } ws =
             r.S.events;
           match r.S.outcome with
           | Ok _ ->
-              incr ok;
-              if r.S.events <> [] then begin
-                incr recovered;
+              if r.S.events <> [] then
                 mttr_ns :=
                   float_of_int
                     (List.fold_left (fun a (_, d) -> a + d) 0 r.S.recovery)
                   :: !mttr_ns
-              end
-              else if armed then incr silent
           | Error f ->
-              incr failed;
               let recoverable_here =
                 match f with
                 | F.Transient _ | F.Deadline_exceeded _ -> true
-                | F.Bad_reloc _ -> cell.c_relocs <> None
+                | F.Bad_reloc _ -> cell.c_cell.relocs <> None
                 | F.Decode_error _ -> cell.c_snapshot <> None
                 | _ -> false
               in
@@ -507,10 +350,10 @@ let resilience { runs; _ } ws =
       let prof = W.profile_name profile in
       Imk_util.Table.add_row table
         [
-          prof; cell.c_path; string_of_int runs; string_of_int !ok;
-          string_of_int !recovered; string_of_int !failed;
-          string_of_int !short; string_of_int !silent; string_of_int !unrec;
-          string_of_int !retries; string_of_int !aborts;
+          prof; cell.c_label; string_of_int runs; string_of_int t.ok;
+          string_of_int t.recovered; string_of_int t.failed;
+          string_of_int !short; string_of_int t.silent; string_of_int !unrec;
+          string_of_int t.retries; string_of_int !aborts;
           string_of_int !fallbacks; string_of_int trips;
           (match !mttr_ns with
           | [] -> "-"
@@ -518,36 +361,17 @@ let resilience { runs; _ } ws =
           msv (ms s.Imk_util.Stats.p50);
           msv (ms s.Imk_util.Stats.p99);
         ];
-      silent_total := !silent_total + !silent;
+      silent_total := !silent_total + t.silent;
       unrecovered_total := !unrecovered_total + !unrec;
       (* telemetry: the cell's total distribution plus per-recovery-label
          per-boot sums as phases (raw ns floats, never re-parsed) *)
-      let labels =
-        Array.fold_left
-          (fun acc ((r : S.report), _) ->
-            List.fold_left
-              (fun acc (l, _) -> if List.mem l acc then acc else acc @ [ l ])
-              acc r.S.recovery)
-          [] rf
-      in
-      let phase_sums label =
-        Array.to_list rf
-        |> List.filter_map (fun ((r : S.report), _) ->
-               match List.filter (fun (l, _) -> l = label) r.S.recovery with
-               | [] -> None
-               | spans ->
-                   Some
-                     (float_of_int
-                        (List.fold_left (fun a (_, d) -> a + d) 0 spans)))
-      in
       rows :=
         {
-          label = prof ^ "/" ^ cell.c_path;
+          label = prof ^ "/" ^ cell.c_label;
           total = s;
           phases =
-            List.map
-              (fun l -> (l, Imk_util.Stats.summarize (phase_sums l)))
-              labels;
+            labelled_phases
+              (Array.to_list (Array.map (fun (r, _) -> r.S.recovery) rf));
         }
         :: !rows)
     per_cell;
@@ -623,9 +447,8 @@ let diffcheck { runs; mutate; _ } ws =
         (tpl, Imk_check.Env.build ~scale tpl))
   in
   let oracles = O.catalogue ~mutate in
-  let jobs = max 1 !Boot_runner.default_jobs in
   let per_run =
-    Imk_util.Par.map_tasks ~jobs ~tasks:runs (fun ~worker:_ i ->
+    fan_out ~tasks:runs (fun ~worker:_ i ->
         let tpl, imgs = images.(i mod n_used) in
         let point = { tpl with P.seed = Boot_runner.run_seed (i + 1) } in
         List.map (fun (o : O.t) -> (o.O.id, point, o.O.run imgs point)) oracles)
@@ -691,14 +514,10 @@ let diffcheck { runs; mutate; _ } ws =
     if String.length s <= 72 then s else String.sub s 0 69 ^ "..."
   in
   let divergences = ref [] (* (oracle id, point, detail), reverse order *) in
+  let diverged (r : O.report) = r.O.outcome <> O.Pass in
   let add_oracle_row id (reports : (P.t * O.report) list) =
     let n = List.length reports in
-    let divergent =
-      List.filter
-        (fun (_, (r : O.report)) ->
-          match r.O.outcome with O.Pass -> false | O.Divergence _ -> true)
-        reports
-    in
+    let divergent = List.filter (fun (_, r) -> diverged r) reports in
     (match divergent with
     | (p, { O.outcome = O.Divergence d; _ }) :: _ ->
         divergences := (id, p, d) :: !divergences
@@ -716,16 +535,16 @@ let diffcheck { runs; mutate; _ } ws =
       ];
     List.length divergent
   in
-  let oracle_reports (o : O.t) =
+  let oracle_reports oid =
     Array.to_list per_run
     |> List.concat_map
          (List.filter_map (fun (id, p, r) ->
-              if id = o.O.id then Some (p, r) else None))
+              if id = oid then Some (p, r) else None))
   in
   let divergent_total = ref 0 and comparisons = ref 0 in
   List.iter
     (fun (o : O.t) ->
-      let reports = oracle_reports o in
+      let reports = oracle_reports o.O.id in
       comparisons := !comparisons + List.length reports;
       divergent_total := !divergent_total + add_oracle_row o.O.id reports)
     oracles;
@@ -739,7 +558,7 @@ let diffcheck { runs; mutate; _ } ws =
   let telemetry =
     List.filter_map
       (fun (o : O.t) ->
-        let reports = oracle_reports o in
+        let reports = oracle_reports o.O.id in
         let all_ns =
           List.concat_map
             (fun (_, (r : O.report)) ->
@@ -748,33 +567,13 @@ let diffcheck { runs; mutate; _ } ws =
         in
         if all_ns = [] then None
         else
-          let labels =
-            List.fold_left
-              (fun acc (_, (r : O.report)) ->
-                List.fold_left
-                  (fun acc (lbl, _) ->
-                    if List.mem lbl acc then acc else acc @ [ lbl ])
-                  acc r.O.boot_ns)
-              [] reports
-          in
           Some
             {
               label = o.O.id;
               total = Imk_util.Stats.summarize all_ns;
               phases =
-                List.map
-                  (fun lbl ->
-                    ( lbl,
-                      Imk_util.Stats.summarize
-                        (List.concat_map
-                           (fun (_, (r : O.report)) ->
-                             List.filter_map
-                               (fun (l, ns) ->
-                                 if l = lbl then Some (float_of_int ns)
-                                 else None)
-                               r.O.boot_ns)
-                           reports) ))
-                  labels;
+                labelled_phases
+                  (List.map (fun (_, (r : O.report)) -> r.O.boot_ns) reports);
             })
       oracles
   in
@@ -795,18 +594,8 @@ let diffcheck { runs; mutate; _ } ws =
       List.split
         (List.map
            (fun (oid, fault, mk) ->
-             let compared =
-               Array.to_list per_run
-               |> List.concat_map
-                    (List.filter_map (fun (id, p, (r : O.report)) ->
-                         if id = oid then Some (p, r.O.outcome) else None))
-             in
-             let caught =
-               List.filter
-                 (fun (_, o) ->
-                   match o with O.Divergence _ -> true | O.Pass -> false)
-                 compared
-             in
+             let compared = oracle_reports oid in
+             let caught = List.filter (fun (_, r) -> diverged r) compared in
              let n = List.length compared and c = List.length caught in
              let verdict =
                gate ~name:("mutant " ^ oid) ~cases:n ~failures:(n - c)
@@ -818,11 +607,7 @@ let diffcheck { runs; mutate; _ } ws =
                | (p0, _) :: _ when verdict.ok ->
                    let mutant : O.t = mk () in
                    let still_fails q =
-                     match
-                       (mutant.O.run (Imk_check.Env.build ~scale q) q).O.outcome
-                     with
-                     | O.Divergence _ -> true
-                     | O.Pass -> false
+                     diverged (mutant.O.run (Imk_check.Env.build ~scale q) q)
                    in
                    let minimal = Imk_check.Shrink.minimize still_fails p0 in
                    String.split_on_char '\n' (Imk_check.Shrink.report minimal)
@@ -870,9 +655,7 @@ let diffcheck { runs; mutate; _ } ws =
 type fleet_cal = {
   f_cold : int array;  (* supervised cold boots, total ns *)
   f_warm : int array;  (* supervised snapshot restores, total ns *)
-  f_fault : int array;  (* supervised fault-laden boots, recovery included *)
-  f_silent : int;  (* armed faults that booted green with no event *)
-  f_fault_runs : int;
+  f_fault : Boot_supervisor.report array;  (* fault-laden supervised boots *)
 }
 
 let fleet { runs; requests; _ } ws =
@@ -885,105 +668,44 @@ let fleet { runs; requests; _ } ws =
      pure function of its calibration arrays, the cell index and the
      request count, so the table and telemetry are bit-identical for any
      --jobs value — parallelism lives between cells. *)
-  let module F = Imk_fault.Failure in
   let module I = Imk_fault.Inject in
   let module W = Imk_fault.Weather in
   let module S = Boot_supervisor in
   let module A = Imk_fleet.Arrival in
-  let plans = Workspace.plans ws in
   let arena = Workspace.arena ws in
-  let mem = 64 * 1024 * 1024 in
   let cal_runs = max 4 runs in
   let seams = [ I.Transient_init 1; I.Truncate_relocs; I.Flip_relocs_magic ] in
-  let file name = (name, Imk_storage.Disk.find (Workspace.disk ws) name) in
   let calibrate preset =
-    let variant = Config.Kaslr in
-    let k = Workspace.vmlinux_path ws preset variant in
-    let r = Workspace.relocs_path ws preset variant in
-    let kcfg = Workspace.config ws preset variant in
-    let files = [ file k; file r ] in
-    let make ~seed =
-      Vm_config.make ~rando:Vm_config.Rando_kaslr ~mem_bytes:mem
-        ~relocs_path:(Some r) ~kernel_path:k ~kernel_config:kcfg ~seed ()
-    in
-    (* run-private warmed disk/cache, like every supervised campaign *)
-    let warmed_cache extra =
-      let disk = Imk_storage.Disk.create () in
-      List.iter
-        (fun (n, b) -> Imk_storage.Disk.add disk ~name:n b)
-        (files @ extra);
-      let cache = Imk_storage.Page_cache.create disk in
-      List.iter
-        (fun (n, _) -> Imk_storage.Page_cache.warm cache n)
-        (files @ extra);
-      cache
-    in
+    (* every calibration run gets a private warmed disk/cache *)
+    let cell = direct_cell ws preset in
+    let make_vm = cell.make_vm in
     let cold =
       Array.init cal_runs (fun i ->
           let seed = Boot_runner.run_seed (i + 1) in
-          let ctx = S.plain_ctx ?plans (warmed_cache []) in
-          let rep = S.supervise ~arena ~seed ~ctx (make ~seed) in
-          match rep.S.outcome with
-          | Ok _ -> rep.S.total_ns
-          | Error f ->
-              invalid_arg
-                ("fleet: cold calibration boot failed: " ^ F.describe f))
+          let ctx = run_ctx ~warm:true ws cell in
+          total_exn "fleet: cold calibration boot failed"
+            (S.supervise ~arena ~seed ~ctx (make_vm ~seed)))
     in
     (* the warm tier restores from one snapshot of this preset *)
     let snap_path = "fleet.snapshot" in
-    let blob =
-      let trace = Imk_vclock.Trace.create (Imk_vclock.Clock.create ()) in
-      let ch = Imk_vclock.Charge.create trace Imk_vclock.Cost_model.default in
-      let base =
-        Vmm.boot ?plans ch (Workspace.cache ws) (make ~seed:404L)
-      in
-      Snapshot.serialize (Snapshot.capture base)
-    in
+    let blob = snapshot_blob ws cell in
     let warm =
       Array.init cal_runs (fun i ->
           let seed = Boot_runner.run_seed (i + 1) in
-          let ctx = S.plain_ctx ?plans (warmed_cache [ (snap_path, blob) ]) in
-          let rep =
-            S.supervise_snapshot ~arena ~seed ~ctx ~snapshot_path:snap_path
-              ~working_set_pages:2048 (make ~seed)
-          in
-          match rep.S.outcome with
-          | Ok _ -> rep.S.total_ns
-          | Error f ->
-              invalid_arg
-                ("fleet: warm calibration restore failed: " ^ F.describe f))
+          let ctx = run_ctx ~warm:true ~extra:[ (snap_path, blob) ] ws cell in
+          total_exn "fleet: warm calibration restore failed"
+            (S.supervise_snapshot ~arena ~seed ~ctx ~snapshot_path:snap_path
+               ~working_set_pages:2048 (make_vm ~seed)))
     in
-    let silent = ref 0 in
     let fault =
       Array.init cal_runs (fun i ->
           let run = i + 1 in
           let seed = Boot_runner.run_seed run in
           let kind = List.nth seams (i mod List.length seams) in
-          let disk = Imk_storage.Disk.create () in
-          List.iter (fun (n, b) -> Imk_storage.Disk.add disk ~name:n b) files;
-          let inject =
-            (I.arm kind ~seed:((131 * run) + 7) ~disk ~kernel_path:k
-               ~relocs_path:r ())
-              .I.inject
-          in
-          let cache = Imk_storage.Page_cache.create disk in
-          List.iter (fun (n, _) -> Imk_storage.Page_cache.warm cache n) files;
-          let ctx = { S.cache; inject; plans } in
-          let rep = S.supervise ~arena ~seed ~ctx (make ~seed) in
-          (* the soundness line every fault campaign holds: an armed
-             fault must surface as a typed failure or a recovery event *)
-          (match rep.S.outcome with
-          | Ok _ when rep.S.events = [] -> incr silent
-          | _ -> ());
-          rep.S.total_ns)
+          let ctx = run_ctx ~warm:true ~fault:(kind, (131 * run) + 7) ws cell in
+          S.supervise ~arena ~seed ~ctx (make_vm ~seed))
     in
-    {
-      f_cold = cold;
-      f_warm = warm;
-      f_fault = fault;
-      f_silent = !silent;
-      f_fault_runs = cal_runs;
-    }
+    { f_cold = cold; f_warm = warm; f_fault = fault }
   in
   let cals = List.map (fun p -> (p, calibrate p)) presets in
   (* a warm pool smaller than the server count: under concurrency some
@@ -1023,10 +745,8 @@ let fleet { runs; requests; _ } ws =
              (models cal))
          cals)
   in
-  let jobs = max 1 !Boot_runner.default_jobs in
   let reports =
-    Imk_util.Par.map_tasks ~jobs ~tasks:(Array.length cells)
-      (fun ~worker:_ ti ->
+    fan_out ~tasks:(Array.length cells) (fun ~worker:_ ti ->
         let _, cal, model, profile = cells.(ti) in
         (* calm cells carry no weather value at all: the calm forecast
            is constant (no faults, no cold), so skipping the draws is
@@ -1046,7 +766,8 @@ let fleet { runs; requests; _ } ws =
             queue_capacity;
             cold_ns = cal.f_cold;
             warm_ns = cal.f_warm;
-            fault_ns = cal.f_fault;
+            fault_ns =
+              Array.map (fun (r : S.report) -> r.S.total_ns) cal.f_fault;
             weather;
             seams;
           })
@@ -1113,11 +834,14 @@ let fleet { runs; requests; _ } ws =
           }
           :: !rows)
     cells;
-  let silent_total =
-    List.fold_left (fun a (_, c) -> a + c.f_silent) 0 cals
-  in
-  let fault_runs_total =
-    List.fold_left (fun a (_, c) -> a + c.f_fault_runs) 0 cals
+  (* the soundness line every fault campaign holds: an armed fault must
+     surface as a typed failure or a recovery event *)
+  let sound =
+    tally
+      (Array.concat
+         (List.map
+            (fun (_, c) -> Array.map (fun r -> (r, true)) c.f_fault)
+            cals))
   in
   let agg f =
     Array.to_list reports |> List.concat_map f
@@ -1188,12 +912,12 @@ let fleet { runs; requests; _ } ws =
     telemetry = List.rev !rows;
     checks =
       [
-        gate ~name:"soundness" ~cases:fault_runs_total ~failures:silent_total
+        gate ~name:"soundness" ~cases:sound.armed ~failures:sound.silent
           (Printf.sprintf
              "%d of %d fault-laden calibration boots booted green with no \
               recorded event (every fault-start cost must include a typed, \
               supervised recovery)"
-             silent_total fault_runs_total);
+             sound.silent sound.armed);
       ];
   }
 

@@ -24,6 +24,13 @@ val boot_row : string -> Boot_runner.phase_stats -> Experiment.boot_row
 (** The telemetry row for one boot_many campaign; phases that never ran
     (n = 0) are dropped, not zero-padded. *)
 
+val labelled_phases :
+  (string * int) list list -> (string * Imk_util.Stats.summary) list
+(** Telemetry phases from labelled nanosecond intervals (one list per
+    run or comparison): one phase per label in first-seen order, whose
+    samples are each item's sum for that label, from the items that
+    carry it. *)
+
 val direct_vm :
   Workspace.t ->
   Imk_kernel.Config.preset ->
@@ -46,11 +53,12 @@ val bz_vm :
   bz:Imk_kernel.Bzimage.variant ->
   rando:Imk_monitor.Vm_config.rando_mode ->
   ?profile:Imk_monitor.Profiles.t ->
+  ?mem:int ->
   unit ->
   seed:int64 ->
   Imk_monitor.Vm_config.t
 (** Self-randomizing bzImage boot of the workspace's [codec]/[bz]
-    variant: stripped loader, 256 MiB, Firecracker by default. *)
+    variant: stripped loader; 256 MiB and Firecracker by default. *)
 
 val boot_many :
   ?jobs:int ->
@@ -69,3 +77,66 @@ val boot_once :
   Imk_vclock.Trace.t * Imk_monitor.Vmm.boot_result
 (** One unjittered {!Boot_runner.boot_once} over the workspace's plan
     cache and page cache. *)
+
+val fan_out : tasks:int -> (worker:int -> int -> 'a) -> 'a array
+(** {!Imk_util.Par.map_tasks} at the ambient [--jobs]
+    ({!Boot_runner.default_jobs}, read nowhere else in the experiment
+    families). Results come back in task order; [worker] indexes
+    per-worker state. *)
+
+(** {1 Supervised-campaign kit}
+
+    What the gated campaigns (faults, resilience, fleet) share: one
+    swept boot path, run-private disks and caches, the reference
+    snapshot, calibration and the report tally. *)
+
+type cell = {
+  path : string;  (** boot path label, e.g. ["direct/kaslr"] *)
+  files : (string * bytes) list;  (** pristine disk files, by name *)
+  kernel : string;  (** kernel image path, the fault target *)
+  relocs : string option;  (** relocation table path, if the path has one *)
+  make_vm : seed:int64 -> Imk_monitor.Vm_config.t;
+}
+
+val direct_cell : Workspace.t -> Imk_kernel.Config.preset -> cell
+(** The preset's KASLR vmlinux + relocs, booted in-monitor in 64 MiB
+    ([path] ["direct/kaslr"]). Builds the images on the calling domain. *)
+
+val bz_cell : Workspace.t -> Imk_kernel.Config.preset -> cell
+(** The preset's KASLR lz4 bzImage, self-randomizing in 64 MiB ([path]
+    ["bz/lz4/kaslr"]). Links the image on the calling domain. *)
+
+val run_ctx :
+  ?warm:bool ->
+  ?fault:Imk_fault.Inject.kind * int ->
+  ?extra:(string * bytes) list ->
+  Workspace.t ->
+  cell ->
+  Boot_supervisor.ctx
+(** One run's private context: a fresh disk holding the cell's files and
+    [extra], [fault] = [(kind, seed)] armed against that disk only, and
+    a fresh page cache over it, with every file warmed when [warm]
+    (default false). The workspace's plan cache is shared. *)
+
+val snapshot_blob : Workspace.t -> cell -> bytes
+(** The campaign's reference snapshot: a seed-404 boot of the cell on a
+    fresh linear clock over the workspace cache, captured and
+    serialized. *)
+
+val total_exn : string -> Boot_supervisor.report -> int
+(** A calibration boot's [total_ns]; [Invalid_argument] with
+    ["<what>: <failure>"] if it failed. *)
+
+type tally = {
+  armed : int;  (** runs with a fault armed *)
+  ok : int;  (** verify-green outcomes *)
+  recovered : int;  (** green with at least one recovery event *)
+  silent : int;  (** armed, green and no event: a soundness violation *)
+  failed : int;  (** typed failures *)
+  retries : int;  (** [Retried] events *)
+  kinds : string list;  (** failure kind names, first-seen order *)
+}
+
+val tally : (Boot_supervisor.report * bool) array -> tally
+(** Count supervised reports, each paired with whether its run had a
+    fault armed. *)

@@ -281,7 +281,7 @@ let fig6 { runs; _ } ws =
 
 (* ---------- Figure 9: main evaluation ---------- *)
 
-let fig9_cell ?jobs ws preset rando ~runs ~method_ =
+let fig9_cell ws preset rando ~runs ~method_ =
   let variant = variant_of_rando rando in
   Workspace.warm_all ws;
   let make_vm =
@@ -296,7 +296,7 @@ let fig9_cell ?jobs ws preset rando ~runs ~method_ =
         bz_vm ws preset variant ~codec:"none" ~bz:Bzimage.None_optimized ~rando ()
     | `Lz4 -> bz_vm ws preset variant ~codec:"lz4" ~bz:Bzimage.Standard ~rando ()
   in
-  boot_many ?jobs ws ~runs make_vm
+  boot_many ~jobs:1 ws ~runs make_vm
 
 let fig9 { runs; _ } ws =
   let table =
@@ -328,26 +328,23 @@ let fig9 { runs; _ } ws =
       presets
   in
   let cells = Array.of_list cells in
-  let jobs = max 1 !Boot_runner.default_jobs in
+  (* worker 0 keeps [ws] (with --jobs 1 it is the only worker); every
+     other worker builds its own clone on first use *)
+  let workspaces = Hashtbl.create 4 and lock = Mutex.create () in
+  Hashtbl.add workspaces 0 ws;
+  let ws_for worker =
+    Mutex.protect lock (fun () ->
+        match Hashtbl.find_opt workspaces worker with
+        | Some w -> w
+        | None ->
+            let w = Workspace.clone_fresh ws in
+            Hashtbl.add workspaces worker w;
+            w)
+  in
   let stats =
-    if jobs = 1 then
-      Array.map (fun (p, r, _, m) -> fig9_cell ws p r ~runs ~method_:m) cells
-    else begin
-      let workspaces = Array.make jobs None in
-      workspaces.(0) <- Some ws;
-      Imk_util.Par.map_tasks ~jobs ~tasks:(Array.length cells)
-        (fun ~worker i ->
-          let wws =
-            match workspaces.(worker) with
-            | Some w -> w
-            | None ->
-                let w = Workspace.clone_fresh ws in
-                workspaces.(worker) <- Some w;
-                w
-          in
-          let p, r, _, m = cells.(i) in
-          fig9_cell ~jobs:1 wws p r ~runs ~method_:m)
-    end
+    fan_out ~tasks:(Array.length cells) (fun ~worker i ->
+        let p, r, _, m = cells.(i) in
+        fig9_cell (ws_for worker) p r ~runs ~method_:m)
   in
   let rows = ref [] in
   let cell_p50 = Hashtbl.create 32 in

@@ -417,28 +417,18 @@ let boot_on ?(inject = fun (_ : string) -> ()) ?plans ?choices ch cache
   let stats = Imk_guest.Linux_boot.run ch config.kernel_config mem params in
   { config; params; stats; mem }
 
-let boot ?arena ?mem ?inject ?plans ?choices ch cache (config : Vm_config.t) =
+let boot ?mem ?inject ?plans ?choices ch cache (config : Vm_config.t) =
   if config.mem_bytes < 32 * 1024 * 1024 then
     fail "guest memory too small (%d bytes)" config.mem_bytes;
-  match mem with
-  | Some m ->
-      (* caller-owned buffer (e.g. an [Arena.with_buffer] bracket): the
-         caller's bracket handles the failure path, we use it as-is *)
-      if Guest_mem.size m <> config.mem_bytes then
-        fail "provided guest memory is %d bytes, config wants %d"
-          (Guest_mem.size m) config.mem_bytes;
-      boot_on ?inject ?plans ?choices ch cache config m
-  | None -> (
-      match arena with
-      | None ->
-          boot_on ?inject ?plans ?choices ch cache config
-            (Guest_mem.create ~size:config.mem_bytes)
-      | Some a ->
-          (* success hands [mem] to the caller (who releases it); a boot
-             that raises must return the borrowed buffer itself or the
-             arena leaks one buffer per injected fault *)
-          let m = Arena.borrow a ~size:config.mem_bytes in
-          (try boot_on ?inject ?plans ?choices ch cache config m
-           with e ->
-             Arena.release a m;
-             raise e))
+  let mem =
+    match mem with
+    | Some m ->
+        (* caller-owned buffer (e.g. an [Arena.with_buffer] bracket): the
+           caller's bracket handles the failure path, we use it as-is *)
+        if Guest_mem.size m <> config.mem_bytes then
+          fail "provided guest memory is %d bytes, config wants %d"
+            (Guest_mem.size m) config.mem_bytes;
+        m
+    | None -> Guest_mem.create ~size:config.mem_bytes
+  in
+  boot_on ?inject ?plans ?choices ch cache config mem

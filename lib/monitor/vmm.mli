@@ -49,7 +49,6 @@ val staging_pa : int
     runs (4 MiB, below the kernel's 16 MiB load address). *)
 
 val boot :
-  ?arena:Imk_memory.Arena.t ->
   ?mem:Imk_memory.Guest_mem.t ->
   ?inject:(string -> unit) ->
   ?plans:Plan_cache.t ->
@@ -63,19 +62,13 @@ val boot :
     Reads images through [cache], so cold-vs-warm behaviour follows the
     cache state the experiment set up.
 
-    [arena] makes the monitor borrow the guest's memory from a recycling
-    pool instead of allocating it — the real-allocation analogue of
-    Firecracker reusing microVM resources. Virtual-clock charges are
-    identical either way. On success, the caller that drops the returned
-    [mem] is responsible for [Imk_memory.Arena.release]-ing it; results
-    that escape for analysis (LEBench, attacks) should simply never be
-    released. If the boot {e raises}, the borrowed buffer is released
-    back to the arena here — a failed boot never leaks it.
-
-    [mem] instead supplies a caller-owned all-zero buffer of exactly
-    [config.mem_bytes] (typically inside an [Arena.with_buffer] bracket);
+    [mem] supplies a caller-owned all-zero buffer of exactly
+    [config.mem_bytes] — typically one borrowed from an
+    {!Imk_memory.Arena} inside an [Arena.with_buffer] bracket, the
+    real-allocation analogue of Firecracker reusing microVM resources;
     the caller keeps ownership on both the success and failure paths.
-    [mem] takes precedence over [arena].
+    Without it the boot allocates a fresh [Guest_mem]. Virtual-clock
+    charges are identical either way.
 
     [inject] is a fault-injection hook called at named phase points
     (currently ["vmm-init"], at the top of the In-Monitor span). It may

@@ -464,6 +464,71 @@ let test_gated_campaigns () =
         o.Experiment.checks)
     [ "faults"; "resilience"; "diffcheck"; "fleet" ]
 
+(* ---------- supervised-campaign kit ---------- *)
+
+let test_kit_tally () =
+  let module F = Imk_fault.Failure in
+  let report ?(events = []) outcome =
+    { Boot_supervisor.outcome; attempts = 1; events; total_ns = 1;
+      recovery = [] }
+  in
+  let green =
+    Ok
+      { Imk_guest.Runtime.functions_visited = 1; sites_verified = 1;
+        rodata_verified = 0; extab_verified = 0; kallsyms_verified = 0;
+        orc_verified = 0 }
+  in
+  let retried =
+    F.Retried { attempt = 1; failure = F.Transient "t"; backoff_ns = 1 }
+  in
+  let t =
+    Exp_common.tally
+      [|
+        (report green, true) (* armed, green, no event: silent *);
+        (report green, false) (* unarmed green: plain ok *);
+        (report ~events:[ retried; retried ] green, true) (* recovered *);
+        (report (Error (F.Bad_reloc "r")), true);
+        (report ~events:[ retried ] (Error (F.Transient "t")), false);
+        (report (Error (F.Bad_reloc "r2")), true);
+      |]
+  in
+  let open Exp_common in
+  check (Alcotest.list int) "armed/ok/recovered/silent/failed/retries"
+    [ 4; 3; 1; 1; 3; 3 ]
+    [ t.armed; t.ok; t.recovered; t.silent; t.failed; t.retries ];
+  check (Alcotest.list Alcotest.string) "kinds, first-seen order"
+    [ "bad-reloc"; "transient" ] t.kinds
+
+let test_kit_run_ctx_isolation () =
+  let ws = small_ws () in
+  let cell = Exp_common.direct_cell ws Config.Aws in
+  let cache (ctx : Boot_supervisor.ctx) = ctx.Boot_supervisor.cache in
+  let contents disk =
+    List.map
+      (fun (name, _) -> Bytes.copy (Imk_storage.Disk.find disk name))
+      cell.Exp_common.files
+  in
+  let on_disk ctx = contents (Imk_storage.Page_cache.disk (cache ctx)) in
+  let pristine = contents (Workspace.disk ws) in
+  let clean = Exp_common.run_ctx ws cell in
+  let armed =
+    Exp_common.run_ctx ~fault:(Imk_fault.Inject.Truncate_relocs, 7) ws cell
+  in
+  let b = Alcotest.bool in
+  check b "armed run sees the fault" true (on_disk armed <> pristine);
+  check b "other run's disk byte-identical" true (on_disk clean = pristine);
+  check b "workspace disk byte-identical" true
+    (contents (Workspace.disk ws) = pristine);
+  check b "cold by default" false
+    (Imk_storage.Page_cache.is_cached (cache clean) cell.Exp_common.kernel);
+  let warm =
+    Exp_common.run_ctx ~warm:true ~extra:[ ("x", Bytes.empty) ] ws cell
+  in
+  check b "warm covers files and extras" true
+    (List.for_all
+       (Imk_storage.Page_cache.is_cached (cache warm))
+       [ cell.Exp_common.kernel; "x" ])
+
 let test_throughput_smoke () =
   let o = Testkit.run_experiment ~runs:5 "throughput" (small_ws ()) in
   (* the headline direction: fgkaslr costs more throughput than kaslr *)
@@ -522,6 +587,12 @@ let () =
           Alcotest.test_case "value_column traps" `Quick
             test_value_column_traps;
           Alcotest.test_case "baseline gate" `Quick test_baseline_gate;
+        ] );
+      ( "campaign_kit",
+        [
+          Alcotest.test_case "tally" `Quick test_kit_tally;
+          Alcotest.test_case "run_ctx isolation" `Quick
+            test_kit_run_ctx_isolation;
         ] );
       ( "experiments",
         [

@@ -93,9 +93,10 @@ let qcheck_determinism =
       log1 = log2 && Sched.now s1 = Sched.now s2)
 
 let test_determinism_across_domains () =
-  (* the boot_contended jobs-invariance protocol gives each worker its
-     own scheduler; the primitive claim is that a run reads no ambient
-     state, so a run inside a spawned domain matches one here *)
+  (* boot_contended gives every run a fresh scheduler, so a run's
+     result must not depend on where it executes; the primitive claim
+     is that a run reads no ambient state, so a run inside a spawned
+     domain matches one here *)
   let fibers =
     [
       [ Op_disk 300; Op_wait 50; Op_dec 200 ];
