@@ -7,7 +7,9 @@
      bench/main.exe --exp fig9      one experiment
      bench/main.exe --runs 100      paper-strength repetitions
      bench/main.exe --functions 400 smaller synthetic kernels (smoke)
-     bench/main.exe --jobs 4        fan boots out over 4 domains
+     bench/main.exe --jobs 4        fan independent cells and campaign
+                                    runs out over 4 domains (a boot
+                                    series always runs in order)
      bench/main.exe --exp fig9 --baseline BENCH_fig9.json
                                     diff against a saved run; exit 1 on
                                     p50 regressions (--threshold PCT)
@@ -27,6 +29,9 @@
                                     and print a shrunk reproducer
 
    The experiment ids come from the Imk_harness.Experiments registry.
+   Every experiment runs on its own fresh workspace (kernels, disk,
+   page cache, arena, plan cache), so its output does not depend on
+   which experiments ran before it in the same invocation.
    Exit status is 1 when any experiment reports a failed check (or the
    --baseline gate trips). Each experiment also writes BENCH_<id>.json
    (schema 2: wall-clock seconds plus per-row boot-time distributions
@@ -208,11 +213,21 @@ let with_trace_capture id f =
           r)
   | _ -> f ()
 
+(* each experiment gets a fresh workspace. The collection first frees
+   the previous experiment's workspace: otherwise its pooled guests
+   (GiBs after fig10) stay live and the GC postpones collecting the next
+   experiment's garbage until the box runs out of memory *)
+let fresh_workspace () =
+  Gc.full_major ();
+  Imk_harness.Workspace.create ~scale:!scale ?functions_override:!functions
+    ~plan_cache:(not !no_plan_cache) ()
+
 (* run one experiment under the wall clock and drop BENCH_<id>.json next
    to the invocation — the real-time cost of the simulation, as opposed
    to the virtual boot times in the table itself *)
-let timed_experiment (e : E.t) ws =
+let timed_experiment (e : E.t) =
   let id = e.E.id in
+  let ws = fresh_workspace () in
   let params = { E.runs = !runs; mutate = !mutate; requests = !requests } in
   let t0 = Unix.gettimeofday () in
   let o = with_trace_capture id (fun () -> e.E.run params ws) in
@@ -428,20 +443,16 @@ let () =
       if d < 1 || s < 1 then usage ();
       Imk_harness.Boot_runner.contend_capacities := (d, s));
   let requested = if !exps = [] then [ "all" ] else List.rev !exps in
-  let ws =
-    Imk_harness.Workspace.create ~scale:!scale ?functions_override:!functions
-      ~plan_cache:(not !no_plan_cache) ()
-  in
   List.iter
     (fun id ->
       match id with
       | "all" ->
-          List.iter (fun e -> timed_experiment e ws) Imk_harness.Experiments.all;
+          List.iter timed_experiment Imk_harness.Experiments.all;
           micro ()
       | "micro" -> micro ()
       | id -> (
           match Imk_harness.Experiments.find id with
-          | Some e -> timed_experiment e ws
+          | Some e -> timed_experiment e
           | None ->
               Printf.eprintf "unknown experiment %s\n" id;
               usage ()))

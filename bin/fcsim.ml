@@ -129,17 +129,8 @@ let functions =
               shrinker's size knob — its reproducer commands carry this \
               flag so the boot matches the minimized campaign point).")
 
-let jobs =
-  Arg.(
-    value
-    & opt int (Imk_util.Par.default_jobs ())
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:"Worker domains for repeated boots (--runs). Results are \
-              bit-identical for any N; defaults to the recommended domain \
-              count.")
-
 let run kernel rando method_ mem_mib runs seed cold vmm cmdline with_devices
-    trace_out deferred_kallsyms functions jobs =
+    trace_out deferred_kallsyms functions =
   let preset, variant = kernel in
   let ws = Imk_harness.Workspace.create ?functions_override:functions () in
   let kernel_config = Imk_harness.Workspace.config ws preset variant in
@@ -247,7 +238,7 @@ let run kernel rando method_ mem_mib runs seed cold vmm cmdline with_devices
       Printf.printf "trace written to %s\n" path);
   if runs > 1 then begin
     let stats =
-      Imk_harness.Boot_runner.boot_many ~cold ~jobs
+      Imk_harness.Boot_runner.boot_many ~cold
         ~arena:(Imk_harness.Workspace.arena ws) ~runs
         ~cache:(Imk_harness.Workspace.cache ws) ~make_vm ()
     in
@@ -273,6 +264,6 @@ let cmd =
     Term.(
       const run $ kernel $ rando $ method_ $ mem_mib $ runs $ seed $ cold
       $ vmm $ cmdline $ with_devices $ trace_out $ deferred_kallsyms
-      $ functions $ jobs)
+      $ functions)
 
 let () = exit (Cmd.eval' cmd)

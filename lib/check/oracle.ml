@@ -253,23 +253,3 @@ let catalogue ~mutate =
     snapshot_cold;
     arena_fresh;
   ]
-
-let compare_series a b =
-  if List.length a <> List.length b then
-    Divergence
-      (Printf.sprintf "series length: %d vs %d" (List.length a)
-         (List.length b))
-  else
-    List.fold_left2
-      (fun acc (na, va) (nb, vb) ->
-        match acc with
-        | Divergence _ -> acc
-        | Pass ->
-            if na <> nb then
-              Divergence (Printf.sprintf "series label: %s vs %s" na nb)
-            else if Int64.bits_of_float va <> Int64.bits_of_float vb then
-              Divergence
-                (Printf.sprintf "%s: %.17g vs %.17g (not bit-identical)" na
-                   va vb)
-            else Pass)
-      Pass a b

@@ -64,22 +64,3 @@ val arena_fresh : t
 val catalogue : mutate:bool -> t list
 (** The full catalogue, cross-path first. *)
 
-val compare_series : (string * float) list -> (string * float) list -> outcome
-(** Exact equality of two labelled telemetry series — the jobs-1 ≡ jobs-N
-    comparator driven from the harness (which owns [boot_many]); floats
-    compare bit-for-bit, never within a tolerance. *)
-
-val of_run :
-  (Env.images ->
-  Point.t ->
-  note:(string -> Imk_vclock.Trace.t -> unit) ->
-  outcome) ->
-  Env.images ->
-  Point.t ->
-  report
-(** Wrap a comparison body with the catalogue's exception guard and
-    boot-telemetry collector: [note label trace] records a completed
-    boot's virtual total, and a body that raises becomes a [Divergence]
-    carrying the exception text instead of killing the campaign. For
-    harness-side oracles (e.g. the jobs-fanout row) that cannot live
-    below [boot_many]. *)

@@ -20,11 +20,6 @@ val decode : bytes -> t
 
 (** {1 The KASLR-constants note} *)
 
-val kaslr_owner : string
-(** ["IMK-KASLR"]. *)
-
-val kaslr_note_type : int
-
 type kaslr_constants = {
   phys_start : int;  (** CONFIG_PHYSICAL_START *)
   phys_align : int;  (** CONFIG_PHYSICAL_ALIGN *)

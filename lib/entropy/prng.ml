@@ -50,10 +50,6 @@ let next_float t =
   let v = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   v /. 9007199254740992. (* 2^53 *)
 
-let next_in_range t ~lo ~hi =
-  if hi < lo then invalid_arg "Prng.next_in_range: hi < lo";
-  lo + next_int t (hi - lo + 1)
-
 let next_aligned t ~lo ~hi ~align =
   if align <= 0 then invalid_arg "Prng.next_aligned: align must be positive";
   let first = (lo + align - 1) / align * align in

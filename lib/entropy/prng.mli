@@ -30,10 +30,6 @@ val next_int : t -> int -> int
 val next_float : t -> float
 (** [next_float t] is a uniform float in [0, 1). *)
 
-val next_in_range : t -> lo:int -> hi:int -> int
-(** [next_in_range t ~lo ~hi] is uniform in the inclusive range
-    [lo, hi]. Raises [Invalid_argument] if [hi < lo]. *)
-
 val next_aligned : t -> lo:int -> hi:int -> align:int -> int
 (** [next_aligned t ~lo ~hi ~align] is a uniform multiple of [align] in
     [lo, hi]. This is the primitive behind KASLR offset selection: Linux

@@ -77,16 +77,8 @@ val arm :
     a relocation table and [relocs_path] is missing — a harness wiring
     error, not a boot failure. *)
 
-val flip_bit : bytes -> off:int -> bit:int -> unit
-(** [flip_bit b ~off ~bit] flips bit [bit] (LSB-first across
-    consecutive bytes) of the field starting at [off], in place. *)
-
 val flip_one_bit : seed:int -> bytes -> bytes
 (** [flip_one_bit ~seed b] is a fresh copy of [b] with one
     seed-selected bit flipped anywhere in it — for corrupting
     CRC-framed blobs (snapshots) where any single-bit flip is
     detectable by construction. *)
-
-val entry_magic_offset : bytes -> int
-(** File offset of the entry function's magic word in a vmlinux ELF
-    (exposed for tests). *)

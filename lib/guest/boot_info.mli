@@ -31,25 +31,16 @@ type t = {
   initrd : (int * int) option;  (** guest-phys address and length *)
 }
 
-val zero_page_pa : int
-(** Where the structure lives: 0x7000, in the traditional setup area. *)
-
-val cmdline_pa : int
-(** Where the command-line string lives: 0x20000. *)
-
-val max_cmdline : int
-(** Longest accepted command line (2047 bytes, as in Linux). *)
-
 exception Invalid of string
 (** Raised by {!read}/{!validate} on a corrupt structure, and by {!write}
     on an over-long command line or too many e820 entries. *)
 
 val write : Imk_memory.Guest_mem.t -> t -> unit
-(** [write mem t] encodes the structure at {!zero_page_pa} and the
-    command line at {!cmdline_pa}. *)
+(** [write mem t] encodes the structure at guest-physical 0x7000 (the
+    traditional setup area) and the command line at 0x20000. *)
 
 val read : Imk_memory.Guest_mem.t -> t
-(** [read mem] decodes whatever is at {!zero_page_pa}. *)
+(** [read mem] decodes whatever is at 0x7000. *)
 
 val validate : Imk_memory.Guest_mem.t -> mem_bytes:int -> t
 (** [validate mem ~mem_bytes] is {!read} plus the checks a kernel

@@ -47,8 +47,7 @@ let record_trace trace =
   in
   (breakdown, float_of_int (Trace.total trace))
 
-(* aggregation replays the sequential fold so summaries are identical
-   whatever the fan-out was: samples are prepended record by record *)
+(* samples are prepended record by record, in run order *)
 let summarize_recorded recorded =
   let phase_samples = Hashtbl.create 8 in
   let totals = ref [] in
@@ -79,13 +78,11 @@ let summarize_recorded recorded =
       | samples -> Imk_util.Stats.summarize samples);
   }
 
-let boot_many ?(warmups = 5) ?(cold = false) ?jobs ?arena ?plans ~runs ~cache
+let boot_many ?(warmups = 5) ?(cold = false) ?arena ?plans ~runs ~cache
     ~make_vm () =
-  let jobs = max 1 (Option.value ~default:!default_jobs jobs) in
-  (* one full boot: returns its phase breakdown (as floats, the exact
-     samples the sequential path has always recorded) and total, and
-     hands the guest memory back to the arena *)
-  let boot ~seed ~cache =
+  (* one full boot: returns its phase breakdown (as floats) and total,
+     and hands the guest memory back to the arena *)
+  let boot seed =
     if cold then Imk_storage.Page_cache.drop_caches cache;
     let vm = make_vm ~seed in
     let record (trace, _result) = record_trace trace in
@@ -97,65 +94,12 @@ let boot_many ?(warmups = 5) ?(cold = false) ?jobs ?arena ?plans ~runs ~cache
         Imk_memory.Arena.with_buffer a ~size:vm.Imk_monitor.Vm_config.mem_bytes
           (fun mem -> record (boot_once ~mem ?plans ~seed ~cache vm))
   in
-  (* recorded boots in run order (index i = run i+1, seed run_seed (i+1)) *)
-  let recorded =
-    if jobs = 1 then begin
-      for i = 1 to warmups do
-        ignore (boot ~seed:(warm_seed i) ~cache)
-      done;
-      Imk_util.Par.map_tasks ~tasks:runs (fun ~worker:_ i ->
-          boot ~seed:(run_seed (i + 1)) ~cache)
-    end
-    else begin
-      (* Parallel protocol, bit-identical to sequential: the first boot
-         (warmup 1, or run 1 when there are no warmups) runs on the
-         calling domain against the shared cache, priming it with every
-         file a boot of this configuration reads (the read set does not
-         depend on the seed) and building any lazy workspace artifacts.
-         Each worker then gets its own clone of the primed cache, so all
-         remaining boots observe exactly the cache state they would have
-         seen sequentially — and each boot's virtual clock, jitter and
-         entropy are functions of its per-run seed alone. *)
-      let first_is_warmup = warmups > 0 in
-      let first_run =
-        if first_is_warmup then begin
-          ignore (boot ~seed:(warm_seed 1) ~cache);
-          None
-        end
-        else if runs > 0 then Some (boot ~seed:(run_seed 1) ~cache)
-        else None
-      in
-      let rem_warm = if first_is_warmup then warmups - 1 else 0 in
-      let rem_runs = if first_is_warmup then runs else max 0 (runs - 1) in
-      let caches =
-        Array.init jobs (fun _ -> Imk_storage.Page_cache.clone cache)
-      in
-      let results =
-        Imk_util.Par.map_tasks ~jobs ~tasks:(rem_warm + rem_runs)
-          (fun ~worker t ->
-            let cache = caches.(worker) in
-            if t < rem_warm then begin
-              ignore (boot ~seed:(warm_seed (t + 2)) ~cache);
-              None
-            end
-            else
-              let run = t - rem_warm + (if first_is_warmup then 1 else 2) in
-              Some (boot ~seed:(run_seed run) ~cache))
-      in
-      let out = Array.make runs None in
-      (match first_run with Some r -> out.(0) <- Some r | None -> ());
-      Array.iteri
-        (fun t r ->
-          match r with
-          | None -> ()
-          | Some r ->
-              let i = t - rem_warm + (if first_is_warmup then 0 else 1) in
-              out.(i) <- Some r)
-        results;
-      Array.map (function Some r -> r | None -> assert false) out
-    end
-  in
-  summarize_recorded recorded
+  (* the series runs in order against the shared cache: the warm-ups
+     prime it, and recorded boot i (0-based) uses run_seed (i + 1) *)
+  for i = 1 to warmups do
+    ignore (boot (warm_seed i))
+  done;
+  summarize_recorded (Array.init runs (fun i -> boot (run_seed (i + 1))))
 
 (* --- contended boots on the shared event timeline (DESIGN.md §10) --- *)
 

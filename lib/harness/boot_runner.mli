@@ -17,9 +17,10 @@ val ms : Imk_util.Stats.summary -> float
     biasing sub-ms phases downward. *)
 
 val default_jobs : int ref
-(** Ambient parallelism for [boot_many] calls that don't pass [~jobs] —
-    the bench/fcsim [--jobs] flag sets this once instead of threading a
-    parameter through every experiment. Default 1 (sequential). *)
+(** Ambient [--jobs], set once by bench: how many worker domains
+    [Exp_common.fan_out] spreads independent experiment cells and
+    campaign runs over. A boot series ({!boot_many}) never fans out.
+    Default 1. *)
 
 val trace_sink : (Imk_vclock.Trace.t -> unit) option ref
 (** Ambient trace tap: when set, every completed boot's full span trace
@@ -27,8 +28,9 @@ val trace_sink : (Imk_vclock.Trace.t -> unit) option ref
     [boot_many] repetition) and each [Boot_supervisor] report feed it.
     This is how [bench/main.exe --trace] captures a representative boot
     of any experiment without threading a parameter through every
-    driver. The sink runs on whatever domain booted (under [--jobs] that
-    is a worker), so it must synchronize internally and must not raise.
+    driver. The sink runs on whatever domain booted (a fanned-out cell
+    runs on a worker), so it must synchronize internally and must not
+    raise.
     Purely observational: installing a sink never changes virtual-clock
     results. Default [None]. *)
 
@@ -40,7 +42,6 @@ val emit_trace : Imk_vclock.Trace.t -> unit
 val boot_many :
   ?warmups:int ->
   ?cold:bool ->
-  ?jobs:int ->
   ?arena:Imk_memory.Arena.t ->
   ?plans:Imk_monitor.Plan_cache.t ->
   runs:int ->
@@ -55,17 +56,17 @@ val boot_many :
     surface errors early). Raises whatever the boot raises — a failing
     configuration should fail the experiment.
 
-    [arena] recycles guest memory across the boots (each boot's memory is
-    released back as soon as its trace is recorded). [jobs] (default
-    [!default_jobs]) fans the boots out over that many domains; every
-    seed is a pure function of the run index and workers get private
-    page-cache clones primed by one sequential first boot, so the
-    returned [phase_stats] are bit-identical for any [jobs] value.
-    Phases that never ran report [Imk_util.Stats.empty] (n = 0) rather
-    than a fabricated zero sample.
+    The series runs in order on the calling domain, against the one
+    shared cache the warm-ups primed; every seed is a pure function of
+    the boot's index. Parallelism belongs between independent series
+    (each on its own workspace), never inside one.
 
-    [plans] shares a boot-plan cache across all the boots (and worker
-    domains — the cache synchronizes internally). Results are
+    [arena] recycles guest memory across the boots (each boot's memory is
+    released back as soon as its trace is recorded). Phases that never
+    ran report [Imk_util.Stats.empty] (n = 0) rather than a fabricated
+    zero sample.
+
+    [plans] shares a boot-plan cache across all the boots. Results are
     bit-identical with or without it; only host wall clock changes. *)
 
 val contend_capacities : (int * int) ref
@@ -105,9 +106,9 @@ val boot_contended :
     holds [n] live guests, so peak memory is one run's worth. *)
 
 val run_seed : int -> int64
-(** Seed of recorded run [i] (1-based). Shared with
-    [Boot_supervisor.supervise_many] so supervised and plain campaigns
-    agree on per-run seeds. *)
+(** Seed of recorded run [i] (1-based). The supervised campaigns seed
+    their runs with it too, so supervised and plain campaigns agree on
+    per-run seeds. *)
 
 val contend_seed : run:int -> slot:int -> int64
 (** Seed of guest [slot] (0-based) in contended run [run] (1-based) — a

@@ -385,12 +385,3 @@ let supervise_snapshot ?(jitter = true) ?arena ?fleet ?max_retries ~seed ~ctx
               finish trace ~outcome ~attempts:(attempts + 1) ~events
                 ~recovery_rev:(recovery_rev @ [ ("failed-restore", restore_ns) ])
                 ~success_ns))
-
-let supervise_many ?(jitter = true) ?jobs ?max_retries ~runs ~ctx_for ~make_vm
-    () =
-  let jobs = max 1 (Option.value ~default:!Boot_runner.default_jobs jobs) in
-  Imk_util.Par.map_tasks ~jobs ~tasks:runs (fun ~worker:_ i ->
-      let run = i + 1 in
-      let seed = Boot_runner.run_seed run in
-      let ctx = ctx_for ~run in
-      supervise ~jitter ?max_retries ~seed ~ctx (make_vm ~seed))

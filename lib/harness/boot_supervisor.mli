@@ -146,22 +146,3 @@ val supervise_snapshot :
     recorded as a [Fell_back_to_cold_boot] event and the supervisor
     boots [vm] cold on the same clock — the report's [total_ns] is the
     price of the failed restore plus the fallback. *)
-
-val supervise_many :
-  ?jitter:bool ->
-  ?jobs:int ->
-  ?max_retries:int ->
-  runs:int ->
-  ctx_for:(run:int -> ctx) ->
-  make_vm:(seed:int64 -> Imk_monitor.Vm_config.t) ->
-  unit ->
-  report array
-(** [supervise_many ~runs ~ctx_for ~make_vm ()] fans [runs] supervised
-    boots over [?jobs] domains (default [Boot_runner.default_jobs]).
-    Run [i] (1-based) uses seed [Boot_runner.run_seed i] and a context
-    built by [ctx_for ~run:i] {e inside the worker} — [ctx_for] must
-    build run-private state (its own disk, cache and armed faults),
-    which is what makes the result array bit-identical for any [jobs]
-    value. Fleets are not offered here: breaker state is inherently
-    sequential, so fleet campaigns parallelize between cells instead
-    (see the resilience experiment). *)

@@ -56,17 +56,26 @@ let faults { runs; _ } ws =
     silent_total := !silent_total + t.silent;
     fault_runs := !fault_runs + t.armed
   in
+  (* one supervised boot per run, fanned over --jobs: run [run]
+     (1-based) is seeded [run_seed run] and builds its private context
+     on its worker *)
+  let per_run boot =
+    fan_out ~tasks:runs (fun ~worker:_ i ->
+        let run = i + 1 in
+        boot ~run ~seed:(Boot_runner.run_seed run))
+  in
   let sweep cell kinds =
     List.iter
       (fun kind ->
         (* the cell's files, re-armed per run with a run-pure seed *)
         let reports =
-          S.supervise_many ~runs
-            ~ctx_for:(fun ~run ->
-              run_ctx
-                ?fault:(Option.map (fun k -> (k, fault_seed run)) kind)
-                ws cell)
-            ~make_vm:cell.make_vm ()
+          per_run (fun ~run ~seed ->
+              let ctx =
+                run_ctx
+                  ?fault:(Option.map (fun k -> (k, fault_seed run)) kind)
+                  ws cell
+              in
+              S.supervise ~seed ~ctx (cell.make_vm ~seed))
         in
         let fault_label =
           match kind with None -> "none" | Some k -> I.name k
@@ -101,9 +110,7 @@ let faults { runs; _ } ws =
   List.iter
     (fun (label, corrupt) ->
       let reports =
-        fan_out ~tasks:runs (fun ~worker:_ i ->
-            let run = i + 1 in
-            let seed = Boot_runner.run_seed run in
+        per_run (fun ~run ~seed ->
             let ctx =
               run_ctx
                 ~extra:[ (snap_path, corrupt ~seed:(fault_seed run) snap_blob) ]
@@ -453,58 +460,6 @@ let diffcheck { runs; mutate; _ } ws =
         let point = { tpl with P.seed = Boot_runner.run_seed (i + 1) } in
         List.map (fun (o : O.t) -> (o.O.id, point, o.O.run imgs point)) oracles)
   in
-  (* jobs-1 ≡ jobs-N: boot_many's rows must be bit-identical for any
-     fan-out. Runs on the calling domain — boot_many does its own
-     fan-out — and compares every field of every phase summary. *)
-  let fan = 4 in
-  let jobs_point, jobs_report =
-    let tpl, imgs =
-      let is_rep ((p : P.t), _) =
-        p.P.preset = Config.Aws && p.P.variant = Config.Kaslr
-        && p.P.codec = "lz4"
-      in
-      match Array.find_opt is_rep images with
-      | Some x -> x
-      | None -> images.(0)
-    in
-    let point = { tpl with P.seed = Boot_runner.run_seed 1 } in
-    let series (s : Boot_runner.phase_stats) =
-      List.concat_map
-        (fun (name, (sum : Imk_util.Stats.summary)) ->
-          [
-            (name ^ ".n", float_of_int sum.Imk_util.Stats.n);
-            (name ^ ".mean", sum.Imk_util.Stats.mean);
-            (name ^ ".min", sum.Imk_util.Stats.min);
-            (name ^ ".max", sum.Imk_util.Stats.max);
-            (name ^ ".stddev", sum.Imk_util.Stats.stddev);
-            (name ^ ".p50", sum.Imk_util.Stats.p50);
-            (name ^ ".p90", sum.Imk_util.Stats.p90);
-            (name ^ ".p99", sum.Imk_util.Stats.p99);
-          ])
-        [
-          ("in-monitor", s.Boot_runner.in_monitor);
-          ("bootstrap", s.Boot_runner.bootstrap);
-          ("decompression", s.Boot_runner.decompression);
-          ("linux-boot", s.Boot_runner.linux_boot);
-          ("total", s.Boot_runner.total);
-        ]
-    in
-    let report =
-      O.of_run
-        (fun imgs point ~note:_ ->
-          let env = Imk_check.Env.instantiate imgs in
-          let make_vm ~seed =
-            Imk_check.Env.direct_config env { point with P.seed = seed }
-          in
-          let stats_at jobs =
-            Boot_runner.boot_many ~warmups:2 ~jobs ~runs:5
-              ~cache:env.Imk_check.Env.cache ~make_vm ()
-          in
-          O.compare_series (series (stats_at 1)) (series (stats_at fan)))
-        imgs point
-    in
-    (point, report)
-  in
   (* aggregation, in run order *)
   let table =
     Imk_util.Table.create
@@ -548,11 +503,6 @@ let diffcheck { runs; mutate; _ } ws =
       comparisons := !comparisons + List.length reports;
       divergent_total := !divergent_total + add_oracle_row o.O.id reports)
     oracles;
-  incr comparisons;
-  divergent_total :=
-    !divergent_total
-    + add_oracle_row (Printf.sprintf "jobs-1=%d" fan)
-        [ (jobs_point, jobs_report) ];
   (* telemetry: per oracle, the virtual totals of every boot its
      comparisons ran — per-boot-label distributions as phases *)
   let telemetry =
@@ -635,8 +585,8 @@ let diffcheck { runs; mutate; _ } ws =
       gate ~name:"divergences" ~cases:!comparisons ~failures:!divergent_total
         (Printf.sprintf
            "%d of %d comparisons diverged (monitor/loader layouts, \
-            event-core solo traces, plan-cache traces, snapshot clones, \
-            arena recycling and jobs fan-out must agree bit for bit)"
+            event-core solo traces, plan-cache traces, snapshot clones \
+            and arena recycling must agree bit for bit)"
            !divergent_total !comparisons)
   in
   {

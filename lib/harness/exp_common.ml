@@ -83,16 +83,16 @@ let bz_vm ws preset variant ~codec ~bz ~rando ?(profile = Profiles.firecracker)
 
 (* every measured boot of an experiment goes through the workspace's
    arena, plan cache and page cache *)
-let boot_many ?jobs ?cold ws ~runs make_vm =
-  Boot_runner.boot_many ?jobs ?cold ~arena:(Workspace.arena ws) ~runs
+let boot_many ?cold ws ~runs make_vm =
+  Boot_runner.boot_many ?cold ~arena:(Workspace.arena ws) ~runs
     ?plans:(Workspace.plans ws) ~cache:(Workspace.cache ws) ~make_vm ()
 
 let boot_once ws ~seed vm =
   Boot_runner.boot_once ~jitter:false ~seed ?plans:(Workspace.plans ws)
     ~cache:(Workspace.cache ws) vm
 
-(* the experiment families' one read of the ambient --jobs: every
-   fan-out of experiment cells or campaign runs goes through here *)
+(* the one read of the ambient --jobs: every fan-out of experiment
+   cells or campaign runs goes through here *)
 let fan_out ~tasks f =
   Imk_util.Par.map_tasks ~jobs:(max 1 !Boot_runner.default_jobs) ~tasks f
 

@@ -61,14 +61,13 @@ val bz_vm :
     variant: stripped loader; 256 MiB and Firecracker by default. *)
 
 val boot_many :
-  ?jobs:int ->
   ?cold:bool ->
   Workspace.t ->
   runs:int ->
   (seed:int64 -> Imk_monitor.Vm_config.t) ->
   Boot_runner.phase_stats
 (** {!Boot_runner.boot_many} over the workspace's arena, plan cache and
-    page cache. *)
+    page cache: one series, in order, on the calling domain. *)
 
 val boot_once :
   Workspace.t ->
@@ -80,9 +79,10 @@ val boot_once :
 
 val fan_out : tasks:int -> (worker:int -> int -> 'a) -> 'a array
 (** {!Imk_util.Par.map_tasks} at the ambient [--jobs]
-    ({!Boot_runner.default_jobs}, read nowhere else in the experiment
-    families). Results come back in task order; [worker] indexes
-    per-worker state. *)
+    ({!Boot_runner.default_jobs}, read nowhere else): the one level of
+    parallelism. Each task must own its state (a [Workspace.clone_fresh]
+    workspace, a {!run_ctx}); results come back in task order; [worker]
+    indexes per-worker state. *)
 
 (** {1 Supervised-campaign kit}
 

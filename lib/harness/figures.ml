@@ -296,7 +296,7 @@ let fig9_cell ws preset rando ~runs ~method_ =
         bz_vm ws preset variant ~codec:"none" ~bz:Bzimage.None_optimized ~rando ()
     | `Lz4 -> bz_vm ws preset variant ~codec:"lz4" ~bz:Bzimage.Standard ~rando ()
   in
-  boot_many ~jobs:1 ws ~runs make_vm
+  boot_many ws ~runs make_vm
 
 let fig9 { runs; _ } ws =
   let table =
@@ -309,9 +309,9 @@ let fig9 { runs; _ } ws =
   (* the 27 (preset x rando x method) cells are independent experiments;
      with an ambient --jobs > 1 they fan out over worker domains, each
      with its own clone_fresh workspace (private disk/cache/builds), and
-     the inner boot_many stays sequential. Kernel builds and boot costs
-     are pure functions of the cell and its fixed seeds, so the table is
-     identical to the sequential one. *)
+     each cell's boot series runs in order on its worker. Kernel builds
+     and boot costs are pure functions of the cell and its fixed seeds,
+     so the table is identical to the sequential one. *)
   let cells =
     List.concat_map
       (fun preset ->
@@ -640,6 +640,9 @@ let throughput { runs; _ } ws =
   in
   let samples rando =
     let variant = variant_of_rando rando in
+    (* build the images before warming: there are no warm-up boots, so
+       an image built lazily by the first boot would be read uncached *)
+    ignore (Workspace.built ws Config.Aws variant);
     Workspace.warm_all ws;
     let make_vm =
       direct_vm ws Config.Aws variant ~rando

@@ -31,9 +31,6 @@ type t = {
   relocs_len : int;  (** uncompressed relocation table length *)
 }
 
-val stub_bytes : int
-(** Size of the simulated bootstrap loader program (64 KiB). *)
-
 val link : Image.built -> codec:string -> variant:variant -> t
 (** [link built ~codec ~variant] packs a built kernel into a bzImage.
     [None_optimized] requires [codec = "none"]; raises

@@ -74,7 +74,6 @@ val modeled_sections : built -> int
 (** {2 Encoding constants} (shared with the randomizer, the guest runtime
     and the relocs tool) *)
 
-val site_kind_code : Imk_elf.Relocation.kind -> int
 val site_kind_of_code : int -> Imk_elf.Relocation.kind
 val rodata_header_bytes : int
 val rodata_entry_bytes : int

@@ -10,8 +10,6 @@
 
 type page_size = Four_k | Two_m | One_g
 
-val page_bytes : page_size -> int
-
 type t = {
   page_size : page_size;
   covered_bytes : int;

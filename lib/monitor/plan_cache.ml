@@ -156,22 +156,30 @@ let relocs t ~path bytes =
       store t ~path ~len ~crc ~bytes (Prelocs r);
       r
 
+(* One memo slot of a plan, owned by the cache lock: [find] reads the
+   slot under the lock, a miss computes outside it, and [keep] writes the
+   result back under it. Racing misses compute equal values, so the last
+   writer wins harmlessly. *)
+let memo t ~find ~keep compute =
+  match with_mu t find with
+  | Some v -> v
+  | None ->
+      let v = compute () in
+      with_mu t (fun () -> keep v);
+      v
+
 let kernel_info t_opt (p : elf_plan) config =
+  let compute () = Imk_guest.Boot_params.kernel_info_of_elf p.elf config in
   match t_opt with
-  | None -> Imk_guest.Boot_params.kernel_info_of_elf p.elf config
-  | Some t -> (
-      let memo =
-        with_mu t (fun () ->
-            match p.kinfo with
-            | Some (c0, ki) when c0 = config -> Some ki
-            | _ -> None)
-      in
-      match memo with
-      | Some ki -> ki
-      | None ->
-          let ki = Imk_guest.Boot_params.kernel_info_of_elf p.elf config in
-          with_mu t (fun () -> p.kinfo <- Some (config, ki));
-          ki)
+  | None -> compute ()
+  | Some t ->
+      memo t
+        ~find:(fun () ->
+          match p.kinfo with
+          | Some (c0, ki) when c0 = config -> Some ki
+          | _ -> None)
+        ~keep:(fun ki -> p.kinfo <- Some (config, ki))
+        compute
 
 let loader_hooks t_opt (p : bz_plan) =
   match t_opt with
@@ -189,61 +197,41 @@ let loader_hooks t_opt (p : bz_plan) =
         Imk_bootstrap.Loader.parse_vmlinux =
           (fun v ->
             let n = Bytes.length v in
-            let memo =
-              with_mu t (fun () ->
-                  match p.l_elf with
-                  | Some (n0, e) when n0 = n -> Some e
-                  | _ -> None)
-            in
-            match memo with
-            | Some e -> e
-            | None ->
-                let e = Imk_elf.Parser.parse v in
-                with_mu t (fun () -> p.l_elf <- Some (n, e));
-                e);
+            memo t
+              ~find:(fun () ->
+                match p.l_elf with
+                | Some (n0, e) when n0 = n -> Some e
+                | _ -> None)
+              ~keep:(fun e -> p.l_elf <- Some (n, e))
+              (fun () -> Imk_elf.Parser.parse v));
         decode_relocs =
           (fun r ->
             let n = Bytes.length r in
-            let memo =
-              with_mu t (fun () ->
-                  match p.l_relocs with
-                  | Some (n0, tbl) when n0 = n -> Some tbl
-                  | _ -> None)
-            in
-            match memo with
-            | Some tbl -> tbl
-            | None ->
-                let tbl = Imk_elf.Relocation.decode r in
-                with_mu t (fun () -> p.l_relocs <- Some (n, tbl));
-                tbl);
+            memo t
+              ~find:(fun () ->
+                match p.l_relocs with
+                | Some (n0, tbl) when n0 = n -> Some tbl
+                | _ -> None)
+              ~keep:(fun tbl -> p.l_relocs <- Some (n, tbl))
+              (fun () -> Imk_elf.Relocation.decode r));
         fn_sections =
           (fun elf ->
-            let memo =
-              with_mu t (fun () ->
-                  match p.l_fns with
-                  | Some (e0, f) when e0 == elf -> Some f
-                  | _ -> None)
-            in
-            match memo with
-            | Some f -> f
-            | None ->
-                let f = Imk_randomize.Loadelf.fn_sections elf in
-                with_mu t (fun () -> p.l_fns <- Some (elf, f));
-                f);
+            memo t
+              ~find:(fun () ->
+                match p.l_fns with
+                | Some (e0, f) when e0 == elf -> Some f
+                | _ -> None)
+              ~keep:(fun f -> p.l_fns <- Some (elf, f))
+              (fun () -> Imk_randomize.Loadelf.fn_sections elf));
         kernel_info =
           (fun elf config ->
-            let memo =
-              with_mu t (fun () ->
-                  match p.l_kinfo with
-                  | Some (e0, c0, ki) when e0 == elf && c0 = config -> Some ki
-                  | _ -> None)
-            in
-            match memo with
-            | Some ki -> ki
-            | None ->
-                let ki = Imk_guest.Boot_params.kernel_info_of_elf elf config in
-                with_mu t (fun () -> p.l_kinfo <- Some (elf, config, ki));
-                ki);
+            memo t
+              ~find:(fun () ->
+                match p.l_kinfo with
+                | Some (e0, c0, ki) when e0 == elf && c0 = config -> Some ki
+                | _ -> None)
+              ~keep:(fun ki -> p.l_kinfo <- Some (elf, config, ki))
+              (fun () -> Imk_guest.Boot_params.kernel_info_of_elf elf config));
       }
 
 let stats t = with_mu t (fun () -> (t.hits, t.builds))

@@ -1,12 +1,13 @@
 (** A fixed-size domain pool with a chunked work queue.
 
-    The experiment harness fans independent boots and experiment cells out
-    over OCaml 5 domains. The pool is deliberately minimal: a task is an
-    integer index, workers pull chunks of indices off a mutex-guarded
-    queue, and every result is stored in its task's slot so the caller
-    sees results in task order regardless of scheduling. Callers are
-    responsible for giving each worker its own mutable state (caches,
-    workspaces): [f] receives the worker index for that purpose. *)
+    The experiment harness fans independent experiment cells and campaign
+    runs out over OCaml 5 domains (only through [Exp_common.fan_out]).
+    The pool is deliberately minimal: a task is an integer index, workers
+    pull chunks of indices off a mutex-guarded queue, and every result is
+    stored in its task's slot so the caller sees results in task order
+    regardless of scheduling. Callers are responsible for giving each
+    worker its own mutable state (caches, workspaces): [f] receives the
+    worker index for that purpose. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the default for [--jobs]. *)

@@ -1,7 +1,7 @@
 (* Tests for Imk_fault (failure taxonomy + deterministic injectors) and
    Imk_harness.Boot_supervisor: every armed fault must end as a typed
    failure or a recovered verify-green boot — never a silent success —
-   and supervision must be bit-identical for any ~jobs value. *)
+   and the faults campaign must be bit-identical for any --jobs value. *)
 
 open Imk_monitor
 open Imk_harness
@@ -699,39 +699,20 @@ let qcheck_weathered_supervision_total =
       | Error f -> Failure.kind_name f <> "unclassified"
       | Ok _ -> r.Boot_supervisor.events <> [])
 
-(* --- jobs-invariance with injected faults (satellite 4) --- *)
+(* --- jobs-invariance with injected faults: the faults campaign's
+   supervised runs fan out over --jobs, each on a private disk, cache
+   and armed fault, so its output must not depend on the fan-out --- *)
 
-let reports_with_jobs env vm ~jobs =
-  (* cycle the fault kinds over the runs so both orders exercise
-     corruption, recovery and clean boots *)
-  let kinds =
-    [|
-      None;
-      Some Inject.Truncate_image;
-      Some Inject.Flip_relocs_magic;
-      Some (Inject.Transient_init 1);
-      Some Inject.Flip_entry_magic;
-    |]
+let test_faults_campaign_jobs_invariant () =
+  let run jobs =
+    Boot_runner.default_jobs := jobs;
+    Fun.protect
+      ~finally:(fun () -> Boot_runner.default_jobs := 1)
+      (fun () ->
+        Testkit.run_experiment "faults"
+          (Workspace.create ~scale:4 ~functions_override:50 ()))
   in
-  Boot_supervisor.supervise_many ~jobs ~runs:10
-    ~ctx_for:(fun ~run ->
-      match kinds.(run mod Array.length kinds) with
-      | None -> Boot_supervisor.plain_ctx (Imk_storage.Page_cache.create (make_disk env))
-      | Some kind -> armed_ctx env kind ~seed:(131 * run))
-    ~make_vm:(fun ~seed -> { vm with Vm_config.seed })
-    ()
-
-let test_supervise_many_jobs_invariant () =
-  let env, vm = supervise_env () in
-  let seq = reports_with_jobs env vm ~jobs:1 in
-  let par = reports_with_jobs env vm ~jobs:3 in
-  check int "same length" (Array.length seq) (Array.length par);
-  Array.iteri
-    (fun i (a : Boot_supervisor.report) ->
-      let b = par.(i) in
-      check Alcotest.bool (Printf.sprintf "run %d identical" (i + 1)) true
-        (a = b))
-    seq
+  Testkit.check_outputs_identical (run 1) (run 2)
 
 (* --- soundness property: no armed fault ever yields a silent green
    boot, and nothing escapes the taxonomy --- *)
@@ -866,7 +847,7 @@ let () =
       ( "soundness",
         [
           Alcotest.test_case "jobs-invariant under faults" `Quick
-            test_supervise_many_jobs_invariant;
+            test_faults_campaign_jobs_invariant;
           Alcotest.test_case "weathered replay deterministic" `Quick
             test_weathered_replay_is_deterministic;
           Testkit.to_alcotest qcheck_no_silent_success;
