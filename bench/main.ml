@@ -214,9 +214,9 @@ let with_trace_capture id f =
   | _ -> f ()
 
 (* each experiment gets a fresh workspace. The collection first frees
-   the previous experiment's workspace: otherwise its pooled guests
-   (GiBs after fig10) stay live and the GC postpones collecting the next
-   experiment's garbage until the box runs out of memory *)
+   the previous experiment's workspace, so its pooled guests (each
+   holding the chunks its boots wrote) never share a peak with the next
+   experiment's *)
 let fresh_workspace () =
   Gc.full_major ();
   Imk_harness.Workspace.create ~scale:!scale ?functions_override:!functions

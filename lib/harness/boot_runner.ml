@@ -158,12 +158,7 @@ let boot_contended ?(warmups = 5) ?plans ~n ~runs ~cache ~make_vm () =
     (per_boot, float_of_int (Imk_vclock.Sched.now sched))
   in
   let per_run =
-    Array.init runs (fun r ->
-        (* the previous run's [n] guests are garbage by now: collect them
-           before this run allocates [n] more, so peak memory holds one
-           run's guests rather than two *)
-        if r > 0 then Gc.full_major ();
-        one_run (r + 1))
+    Array.init runs (fun r -> one_run (r + 1))
   in
   {
     per_boot =

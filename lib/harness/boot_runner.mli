@@ -101,9 +101,8 @@ val boot_contended :
     the shared cache first; each run then gets a private
     [Page_cache.clone], a fresh scheduler and [contend_seed]-pure seeds,
     so the returned stats are bit-identical for any ambient [--jobs].
-    Runs execute one at a time on the calling domain, and the previous
-    run's guests are collected before the next run allocates: each run
-    holds [n] live guests, so peak memory is one run's worth. *)
+    Runs execute one at a time on the calling domain: each run holds [n]
+    live guests, so peak memory is one run's worth. *)
 
 val run_seed : int -> int64
 (** Seed of recorded run [i] (1-based). The supervised campaigns seed

@@ -1,13 +1,20 @@
 (* Guest-memory arena: recycle Guest_mem buffers across boots.
 
-   Allocating and page-fault-zeroing a fresh 256 MiB guest for every boot
-   dominates the harness's wall clock (the virtual clock charges for
-   zeroing stay with the boot path — this pool only removes the *real*
-   allocation work, per the "virtual time, real work" rule). Buffers are
-   scrubbed on release, so a borrowed buffer is indistinguishable from a
-   fresh [Guest_mem.create]: all-zero, empty dirty extent, no bytes from
-   the previous tenant. Firecracker wins the same way by recycling microVM
+   Guest memory is demand-paged, so a fresh guest is cheap; what a boot
+   still pays for is allocating the 1 MiB chunks it writes. A recycled
+   guest keeps those chunks (scrub zeroes only the dirty ranges inside
+   them), so the next boot of the same image writes into chunks that
+   already exist (the virtual clock charges for zeroing stay with the
+   boot path — this pool only removes *real* allocation work, per the
+   "virtual time, real work" rule). Buffers are scrubbed on release, so
+   a borrowed buffer is indistinguishable from a fresh
+   [Guest_mem.create]: all-zero, empty dirty extent, no bytes from the
+   previous tenant. Firecracker wins the same way by recycling microVM
    resources across instantiations.
+
+   [pooled_bytes] and [max_bytes] count each pooled guest at its nominal
+   [Guest_mem.size]; the memory it actually holds is only the chunks its
+   previous tenants wrote, so the real footprint is at most that.
 
    The pool is shared between domains (the harness fans boots out over a
    domain pool), so the free lists live behind a mutex. Scrubbing happens

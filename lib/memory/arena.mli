@@ -1,12 +1,11 @@
 (** A pool that recycles {!Guest_mem} buffers across boots.
 
-    The repeated-boot harness allocates one guest memory per boot;
-    faulting in a fresh zeroed 256 MiB buffer each time costs far more
-    real time than the boot's actual data movement. The arena keeps
-    released buffers and scrubs only their dirty extent (the bytes the
-    previous boot wrote), so a recycled buffer is observably identical to
-    a fresh [Guest_mem.create ~size]: all-zero and with an empty dirty
-    extent. This is also a security property of the simulator — no bytes
+    The repeated-boot harness uses one guest memory per boot. Guest
+    memory is demand-paged, so each boot would allocate afresh every
+    1 MiB chunk it writes; the arena keeps released buffers, chunks
+    included, and scrubs only their dirty ranges (the bytes the previous
+    boot wrote), so a recycled buffer is observably identical to a fresh
+    [Guest_mem.create ~size]: all-zero and with an empty dirty extent. This is also a security property of the simulator — no bytes
     of a previous guest may survive into the next one — and is enforced
     by a qcheck property in [test/test_memory.ml].
 
@@ -25,8 +24,9 @@ val create : ?max_per_size:int -> ?max_bytes:int -> unit -> t
     [max 2 (Domain.recommended_domain_count ())] — enough for every
     worker of a default-size domain pool), and at most [max_bytes] in
     total (default 8 GiB); releases beyond either bound simply drop the
-    buffer for the GC, so the arena degrades to today's
-    allocate-per-boot behaviour rather than hoarding memory. *)
+    buffer for the GC, so the arena degrades to allocate-per-boot
+    behaviour rather than hoarding memory. Both totals count a buffer at
+    its nominal size; it holds only the chunks its tenants wrote. *)
 
 val borrow : t -> size:int -> Guest_mem.t
 (** [borrow t ~size] returns an all-zero guest memory of exactly [size]
@@ -37,8 +37,7 @@ val release : t -> Guest_mem.t -> unit
 (** [release t mem] scrubs [mem] (zeroing its dirty extent) and returns
     it to the pool. The caller must not use [mem] afterwards. Buffers
     borrowed elsewhere may also be released here, as long as every write
-    to them went through the [Guest_mem] API ([Guest_mem.raw] marks the
-    whole guest dirty, so even that is safe — just slow to scrub). *)
+    to them went through the [Guest_mem] API. *)
 
 val with_buffer : t -> size:int -> (Guest_mem.t -> 'a) -> 'a
 (** [with_buffer t ~size f] brackets {!borrow} and {!release}: [f] runs
@@ -49,7 +48,9 @@ val with_buffer : t -> size:int -> (Guest_mem.t -> 'a) -> 'a
     with a dirty one. [f] must not retain the buffer past its return. *)
 
 val pooled_bytes : t -> int
-(** Total bytes currently held in free lists. *)
+(** Total nominal size of the buffers currently in free lists — an upper
+    bound on the memory they hold, since only written chunks are
+    allocated. *)
 
 val stats : t -> int * int
 (** [(hits, misses)] — borrows served from the pool vs fresh

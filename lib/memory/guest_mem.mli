@@ -1,10 +1,14 @@
 (** Guest physical memory.
 
-    A flat byte array addressed by guest-physical address starting at 0 —
-    the memory a VMM allocates for a microVM. All accesses are
-    bounds-checked: an out-of-range access is a guest triple-fault in real
-    life and a typed error here. The module is pure data movement; boot
-    paths charge virtual-clock costs separately (DESIGN.md §4.1). *)
+    Bytes addressed by guest-physical address starting at 0 — the memory
+    a VMM allocates for a microVM. Storage is demand-paged: the guest is
+    split into fixed chunks of [2{^chunk_bits}] bytes, every chunk reads
+    as zero until its first write allocates it, so a fresh guest costs
+    what it writes rather than what it sizes (as a VMM's anonymous guest
+    RAM faults in on demand). All accesses are bounds-checked: an
+    out-of-range access is a guest triple-fault in real life and a typed
+    error here. The module is pure data movement; boot paths charge
+    virtual-clock costs separately (DESIGN.md §4.1). *)
 
 type t
 
@@ -12,7 +16,12 @@ exception Fault of string
 (** Raised on out-of-bounds access, with a description of the access. *)
 
 val create : size:int -> t
-(** [create ~size] allocates zeroed guest memory. *)
+(** [create ~size] makes all-zero guest memory. No chunk is allocated
+    until it is written, so this costs a slot array, not [size] bytes. *)
+
+val chunk_bits : int
+(** Chunks are [1 lsl chunk_bits] bytes (1 MiB): addresses [a] and [b]
+    share a chunk iff [a lsr chunk_bits = b lsr chunk_bits]. *)
 
 val size : t -> int
 
@@ -22,14 +31,14 @@ val dirty_extent : t -> (int * int) option
     if nothing was written. Internally writes are tracked as a small
     bounded set of ranges (so a boot that dirties bootinfo pages low in
     the guest and a randomized image high in it does not dirty the gap);
-    this returns their envelope. Taking {!raw} conservatively dirties the
-    whole guest, since writes through it are invisible to the tracker. *)
+    this returns their envelope. *)
 
 val scrub : t -> unit
 (** [scrub t] zeroes every dirty range and resets the tracker, restoring
     the all-zero state of a fresh [create] while touching only the bytes
     a previous user actually wrote — the cheap half of recycling guest
-    memory through {!Arena}. Real work only; virtual-clock zeroing
+    memory through {!Arena}. Chunks stay allocated, so the next tenant
+    does not pay for them again. Real work only; virtual-clock zeroing
     charges are the boot path's business, exactly as for [create]. *)
 
 val write_bytes : t -> pa:int -> bytes -> unit
@@ -50,17 +59,21 @@ val valid : t -> pa:int -> len:int -> bool
     {!with_validated_range}, falling back to per-site checked accessors
     (and their per-site error messages) when it fails. *)
 
-val with_validated_range : t -> pa:int -> len:int -> (bytes -> 'a) -> 'a
+val with_validated_range :
+  t -> pa:int -> len:int -> (bytes -> int -> 'a) -> 'a
 (** [with_validated_range t ~pa ~len f] bounds-checks and dirties
-    [\[pa, pa+len)] once, then passes the backing store to [f] for
-    direct [Imk_util.Byteio] access — one check + one dirty-tracker
-    update for a whole run of nearby sites instead of one per access.
-    The contract is the audited unsafe-after-validation pattern
-    (DESIGN.md §4): [f] must confine every write to the validated range,
-    or the dirty-extent tracker goes dishonest and recycled arenas leak
-    stale bytes. Raises {!Fault} if the range is out of bounds. Reads
-    outside the range are harmless to the tracker but get no bounds
-    protection beyond the byte array's own. *)
+    [\[pa, pa+len)] once, allocates the chunk holding it, then calls
+    [f chunk base] where [base] is the physical address of [chunk]'s
+    first byte, so the byte at [pa] is [chunk] offset [pa - base]. [f]
+    accesses the run directly through [Imk_util.Byteio] — one check +
+    one dirty-tracker update for a whole run of nearby sites instead of
+    one per access. The contract is the audited unsafe-after-validation
+    pattern (DESIGN.md §4): [f] must confine every write to the
+    validated range, or the dirty-range tracker goes dishonest and
+    recycled arenas leak stale bytes. Raises {!Fault} if the range is
+    out of bounds, and [Invalid_argument] if it is empty or crosses a
+    chunk boundary (a caller splits its runs with {!chunk_bits}).
+    [lint.sh] limits which files may call it. *)
 
 val get_u8 : t -> pa:int -> int
 val get_u32 : t -> pa:int -> int
@@ -74,15 +87,6 @@ val get_i64 : t -> pa:int -> int64
     of {!get_addr} — for probing memory that may hold arbitrary data
     (e.g. an attacker guessing at function magics). *)
 
-val raw : t -> bytes
-(** [raw t] exposes the backing store for read-mostly bulk operations
-    (e.g. byte-equality checks in tests). Because writes through the
-    escaped buffer are invisible to the tracker, taking [raw]
-    conservatively dirties the whole guest — which turns the next
-    {!Arena} scrub into a full re-zero. Production code must use the
-    read-only accessors below instead ([lint.sh] bans new [raw] call
-    sites outside an explicit allowlist). *)
-
 val fold_dirty_ranges :
   t -> init:'a -> f:('a -> lo:int -> hi:int -> 'a) -> 'a
 (** [fold_dirty_ranges t ~init ~f] folds [f] over the dirty ranges as
@@ -93,13 +97,13 @@ val fold_dirty_ranges :
 
 val blit_to_bytes : t -> pa:int -> dst:bytes -> dst_off:int -> len:int -> unit
 (** [blit_to_bytes t ~pa ~dst ~dst_off ~len] copies [len] bytes starting
-    at physical address [pa] into [dst] at [dst_off] without going
-    through {!raw} — a read, so the dirty tracker is untouched. Raises
+    at physical address [pa] into [dst] at [dst_off] — a read, so the
+    dirty tracker is untouched and no chunk is allocated. Raises
     {!Fault} if the source range is outside guest memory and
     [Invalid_argument] if the destination range is out of bounds. *)
 
 val crc32_range : t -> pa:int -> len:int -> int
 (** [crc32_range t ~pa ~len] is the CRC-32 of the given physical range,
-    computed on the backing store without copying and without touching
-    the dirty tracker — the page-hashing / layout-probe primitive.
+    chained chunk by chunk without copying, without touching the dirty
+    tracker and without allocating chunks — the page-hashing / layout-probe primitive.
     Raises {!Fault} if the range is out of bounds. *)

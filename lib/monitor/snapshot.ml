@@ -195,9 +195,9 @@ let restore ch t ~working_set_pages =
       Charge.pay ch
         (Cost_model.memcpy_cost cm ~in_guest:false (working_set_pages * page));
       Charge.pay ch (int_of_float cm.Cost_model.vmm_entry_ns));
-  (* the clone itself: in a real CoW restore this is lazy; the simulation
-     materializes it so the guest is fully inspectable. Only the frames
-     are blitted — the rest of the fresh guest is already zero. *)
+  (* the clone itself: lazy here as in a real CoW restore. The fresh
+     guest is demand-paged, so only the chunks the frames land in are
+     allocated; the rest reads as zero and stays fully inspectable. *)
   let mem = Guest_mem.create ~size:t.mem_size in
   List.iter (fun (pa, data) -> Guest_mem.write_bytes mem ~pa data) t.frames;
   let stats = Imk_guest.Runtime.verify_boot mem t.params in

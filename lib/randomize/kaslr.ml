@@ -39,16 +39,15 @@ let delta_new_va ~delta va =
    one Guest_mem bounds check + dirty-tracker update via
    [with_validated_range] and then patches through Imk_util.Byteio on
    the validated run — instead of a checked read, a checked write and a
-   tracker walk per site. A stretch that fails validation (a site
-   outside the loaded image — the corrupt-relocs case) is replayed
-   site-by-site through the checked accessors so the per-site error
-   messages are exactly those of the unbatched path. *)
-
-let run_span_max = 1 lsl 20
-(* caps the validated span (and so the per-run dirty over-approximation)
-   when sorted sites straddle a sparse region; sites of a healthy image
-   lie inside its already-dirty placed extent, so the tracker outcome is
-   unchanged either way *)
+   tracker walk per site. A run ends at a guest-memory chunk boundary
+   (1 MiB). That also caps its span, and so the per-run dirty
+   over-approximation when sorted sites straddle a sparse region. Sites
+   of a healthy image lie inside its already-dirty placed extent, so the
+   tracker outcome does not depend on where runs split. A stretch that
+   fails validation (a site outside the loaded image — the corrupt-relocs
+   case) or a lone site straddling a chunk boundary is replayed
+   site-by-site through the checked accessors, so the error messages are
+   exactly those of the unbatched path. *)
 
 let apply ~mem ~relocs ~site_pa ~new_va_of =
   let open Imk_elf.Relocation in
@@ -90,7 +89,8 @@ let apply ~mem ~relocs ~site_pa ~new_va_of =
           Guest_mem.set_u32 mem ~pa stored'
   in
   (* same transformation and same failure messages as [patch], but on a
-     run [with_validated_range] already bounds-checked and dirtied *)
+     run [with_validated_range] already bounds-checked and dirtied; [pa]
+     is the site's offset in the run's chunk *)
   let patch_in kind data pa site_va =
     match kind with
     | Abs64 ->
@@ -131,20 +131,24 @@ let apply ~mem ~relocs ~site_pa ~new_va_of =
         let start = !i in
         let lo = pas.(start) in
         let j = ref start in
+        let chunk = lo lsr Guest_mem.chunk_bits in
         (* extend while the physical addresses stay strictly forward and
-           non-overlapping and the run stays within the span cap *)
+           non-overlapping and the run stays inside [lo]'s chunk *)
         while
           !j + 1 < n
           && pas.(!j + 1) >= pas.(!j) + width
-          && pas.(!j + 1) + width - lo <= run_span_max
+          && (pas.(!j + 1) + width - 1) lsr Guest_mem.chunk_bits = chunk
         do
           incr j
         done;
         let len = pas.(!j) + width - lo in
-        if Guest_mem.valid mem ~pa:lo ~len then
-          Guest_mem.with_validated_range mem ~pa:lo ~len (fun data ->
+        if
+          Guest_mem.valid mem ~pa:lo ~len
+          && (lo + len - 1) lsr Guest_mem.chunk_bits = chunk
+        then
+          Guest_mem.with_validated_range mem ~pa:lo ~len (fun data base ->
               for k = start to !j do
-                patch_in kind data pas.(k) sites.(k)
+                patch_in kind data (pas.(k) - base) sites.(k)
               done)
         else
           for k = start to !j do

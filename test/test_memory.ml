@@ -106,8 +106,8 @@ let test_valid_and_validated_range () =
     (Guest_mem.dirty_extent m = None);
   (* writes inside a validated run are tracked: scrubbing restores the
      fresh all-zero state, same as for the checked mutators *)
-  Guest_mem.with_validated_range m ~pa:16 ~len:8 (fun data ->
-      Imk_util.Byteio.set_addr data 16 0x1122334455667788);
+  Guest_mem.with_validated_range m ~pa:16 ~len:8 (fun chunk base ->
+      Imk_util.Byteio.set_addr chunk (16 - base) 0x1122334455667788);
   (match Guest_mem.dirty_extent m with
   | Some (lo, hi) ->
       check Alcotest.bool "run covered by dirty extent" true
@@ -118,7 +118,21 @@ let test_valid_and_validated_range () =
   Guest_mem.scrub m;
   check Alcotest.bool "scrubbed back to fresh" true
     (Guest_mem.dirty_extent m = None
-    && Bytes.equal (Guest_mem.raw m) (Bytes.make 256 '\000'))
+    && Bytes.equal
+         (Guest_mem.read_bytes m ~pa:0 ~len:256)
+         (Bytes.make 256 '\000'));
+  (* a run hands out one chunk, so it may not cross a chunk boundary *)
+  let big = Guest_mem.create ~size:(2 lsl Guest_mem.chunk_bits) in
+  let edge = 1 lsl Guest_mem.chunk_bits in
+  check int "run ending at the boundary gets its chunk's base" 0
+    (Guest_mem.with_validated_range big ~pa:(edge - 8) ~len:8 (fun _ b -> b));
+  check int "run starting at the boundary gets the next base" edge
+    (Guest_mem.with_validated_range big ~pa:edge ~len:8 (fun _ b -> b));
+  check Alcotest.bool "chunk-crossing run refused" true
+    (try
+       Guest_mem.with_validated_range big ~pa:(edge - 4) ~len:8 (fun _ _ ->
+           Alcotest.fail "callback ran on a chunk-crossing range")
+     with Invalid_argument _ -> true)
 
 let test_get_i64_raw () =
   let m = Guest_mem.create ~size:16 in
@@ -179,6 +193,258 @@ let qcheck_guest_mem_rw =
         Bytes.equal b (Guest_mem.read_bytes m ~pa ~len:(Bytes.length b))
       end)
 
+(* --- the chunked store against a flat model --- *)
+
+(* The reference: one flat [Bytes] plus the byte-range dirty tracker
+   (8 ranges, nearest-merge), written out independently of Guest_mem.
+   Every mutation records [pa, pa+len) exactly as the chunked store must,
+   so the two agree on bytes and on dirty ranges. *)
+module Flat = struct
+  type t = {
+    data : bytes;
+    lo : int array;
+    hi : int array;
+    mutable n : int;
+  }
+
+  let create size =
+    {
+      data = Bytes.make size '\000';
+      lo = Array.make 8 0;
+      hi = Array.make 8 0;
+      n = 0;
+    }
+
+  let widen t j lo hi =
+    t.lo.(j) <- min t.lo.(j) lo;
+    t.hi.(j) <- max t.hi.(j) hi
+
+  let touch t pa len =
+    if len > 0 then begin
+      let lo = pa and hi = pa + len in
+      match
+        List.find_opt
+          (fun j -> lo <= t.hi.(j) && hi >= t.lo.(j))
+          (List.init t.n Fun.id)
+      with
+      | Some j -> widen t j lo hi
+      | None when t.n < 8 ->
+          t.lo.(t.n) <- lo;
+          t.hi.(t.n) <- hi;
+          t.n <- t.n + 1
+      | None ->
+          let gap j =
+            if lo > t.hi.(j) then lo - t.hi.(j)
+            else if hi < t.lo.(j) then t.lo.(j) - hi
+            else 0
+          in
+          (* nearest range, first one on a tie *)
+          let best = ref 0 in
+          for j = 1 to t.n - 1 do
+            if gap j < gap !best then best := j
+          done;
+          widen t !best lo hi
+    end
+
+  (* sorted, merged, each dirty byte once *)
+  let ranges t =
+    let rs =
+      List.sort compare (List.init t.n (fun j -> (t.lo.(j), t.hi.(j))))
+    in
+    List.rev
+      (List.fold_left
+         (fun acc (l, h) ->
+           match acc with
+           | (pl, ph) :: rest when l <= ph -> (pl, max ph h) :: rest
+           | _ -> (l, h) :: acc)
+         [] rs)
+
+  let scrub t =
+    for j = 0 to t.n - 1 do
+      Bytes.fill t.data t.lo.(j) (t.hi.(j) - t.lo.(j)) '\000'
+    done;
+    t.n <- 0
+end
+
+type op =
+  | Write of int * int * char
+  | Set_u32 of int * int
+  | Set_addr of int * int
+  | Zero of int * int
+  | Copy of int * int * int
+  | Scrub
+
+let chunk = 1 lsl Guest_mem.chunk_bits
+let model_size = (3 * chunk) + 5
+
+(* an offset at or a few bytes either side of a chunk boundary (the
+   guest's end included), or anywhere *)
+let gen_pa =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map2 (fun b d -> (b * chunk) + d) (int_bound 3) (int_range (-12) 12));
+        (1, int_bound model_size);
+      ]
+    |> map (fun pa -> max 0 (min model_size pa)))
+
+let gen_len =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, int_bound 24);
+        (1, int_bound (chunk + 64));
+        (1, int_bound (2 * chunk));
+      ])
+
+(* clamp [pa, pa+len) into the guest *)
+let fit pa len =
+  let len = min len model_size in
+  (min pa (model_size - len), len)
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          map3
+            (fun pa len c ->
+              let pa, len = fit pa len in
+              Write (pa, len, c))
+            gen_pa gen_len printable );
+        ( 2,
+          map2
+            (fun pa v -> Set_u32 (fst (fit pa 4), v))
+            gen_pa (int_bound 0xffffff) );
+        ( 2,
+          map2
+            (fun pa v -> Set_addr (fst (fit pa 8), v))
+            gen_pa (int_bound max_int) );
+        ( 1,
+          map2
+            (fun pa len ->
+              let pa, len = fit pa len in
+              Zero (pa, len))
+            gen_pa gen_len );
+        ( 2,
+          map3
+            (fun src shift len ->
+              (* overlapping more often than not: dst within len of src *)
+              let src, len = fit src len in
+              let dst = max 0 (min (model_size - len) (src + shift)) in
+              Copy (src, dst, len))
+            gen_pa (int_range (-40) 40) gen_len );
+        (1, return Scrub);
+      ])
+
+let show_op = function
+  | Write (pa, len, c) -> Printf.sprintf "write %#x+%d %C" pa len c
+  | Set_u32 (pa, v) -> Printf.sprintf "set_u32 %#x %#x" pa v
+  | Set_addr (pa, v) -> Printf.sprintf "set_addr %#x %#x" pa v
+  | Zero (pa, len) -> Printf.sprintf "zero %#x+%d" pa len
+  | Copy (s, d, len) -> Printf.sprintf "copy %#x->%#x+%d" s d len
+  | Scrub -> "scrub"
+
+let apply_op m f = function
+  | Write (pa, len, c) ->
+      let b = Bytes.make len c in
+      Guest_mem.write_bytes m ~pa b;
+      Flat.touch f pa len;
+      Bytes.blit b 0 f.Flat.data pa len
+  | Set_u32 (pa, v) ->
+      Guest_mem.set_u32 m ~pa v;
+      Flat.touch f pa 4;
+      Imk_util.Byteio.set_u32 f.Flat.data pa v
+  | Set_addr (pa, v) ->
+      Guest_mem.set_addr m ~pa v;
+      Flat.touch f pa 8;
+      Imk_util.Byteio.set_addr f.Flat.data pa v
+  | Zero (pa, len) ->
+      Guest_mem.zero m ~pa ~len;
+      Flat.touch f pa len;
+      Bytes.fill f.Flat.data pa len '\000'
+  | Copy (src, dst, len) ->
+      Guest_mem.copy_within m ~src ~dst ~len;
+      Flat.touch f dst len;
+      Bytes.blit f.Flat.data src f.Flat.data dst len
+  | Scrub ->
+      Guest_mem.scrub m;
+      Flat.scrub f
+
+let qcheck_chunks_match_flat =
+  QCheck.Test.make ~count:150
+    ~name:"guest_mem: chunked store = flat model at chunk boundaries"
+    QCheck.(
+      pair
+        (make ~print:(Print.list show_op) Gen.(list_size (1 -- 12) gen_op))
+        (make
+           ~print:Print.(list (pair int int))
+           Gen.(list_size (return 6) (pair gen_pa gen_len))))
+    (fun (ops, probes) ->
+      let m = Guest_mem.create ~size:model_size in
+      let f = Flat.create model_size in
+      List.iter (apply_op m f) ops;
+      let same what a b =
+        if a <> b then QCheck.Test.fail_reportf "%s differs" what
+      in
+      let outcome g = try Ok (g ()) with Invalid_argument _ -> Error () in
+      same "bytes"
+        (Guest_mem.read_bytes m ~pa:0 ~len:model_size)
+        f.Flat.data;
+      List.iter
+        (fun (pa, len) ->
+          let pa, len = fit pa len in
+          let at = Printf.sprintf "at %#x+%d" pa len in
+          same ("read_bytes " ^ at)
+            (Guest_mem.read_bytes m ~pa ~len)
+            (Bytes.sub f.Flat.data pa len);
+          same ("crc32_range " ^ at)
+            (Guest_mem.crc32_range m ~pa ~len)
+            (Imk_util.Crc.crc32 f.Flat.data pa len);
+          let dst = Bytes.make (len + 3) '\001' in
+          Guest_mem.blit_to_bytes m ~pa ~dst ~dst_off:3 ~len;
+          let want = Bytes.make (len + 3) '\001' in
+          Bytes.blit f.Flat.data pa want 3 len;
+          same ("blit_to_bytes " ^ at) dst want;
+          let p = fst (fit pa 8) and d = f.Flat.data in
+          same ("get_u8 " ^ at)
+            (Guest_mem.get_u8 m ~pa:p)
+            (Imk_util.Byteio.get_u8 d p);
+          same ("get_u32 " ^ at)
+            (Guest_mem.get_u32 m ~pa:p)
+            (Imk_util.Byteio.get_u32 d p);
+          same ("get_u32_signed " ^ at)
+            (Guest_mem.get_u32_signed m ~pa:p)
+            (Imk_util.Byteio.get_u32_signed d p);
+          same ("get_i64 " ^ at)
+            (Guest_mem.get_i64 m ~pa:p)
+            (Imk_util.Byteio.get_i64 d p);
+          same ("get_addr " ^ at)
+            (outcome (fun () -> Guest_mem.get_addr m ~pa:p))
+            (outcome (fun () -> Imk_util.Byteio.get_addr d p)))
+        probes;
+      same "fold_dirty_ranges"
+        (List.rev
+           (Guest_mem.fold_dirty_ranges m ~init:[] ~f:(fun acc ~lo ~hi ->
+                (lo, hi) :: acc)))
+        (Flat.ranges f);
+      same "dirty_extent" (Guest_mem.dirty_extent m)
+        (match Flat.ranges f with
+        | [] -> None
+        | rs -> Some (fst (List.hd rs), snd (List.nth rs (List.length rs - 1))));
+      true)
+
+let test_create_is_lazy () =
+  (* demand paging: a fresh guest costs a slot array, not its size *)
+  let before = Gc.allocated_bytes () in
+  let m = Guest_mem.create ~size:(256 * 1024 * 1024) in
+  let allocated = Gc.allocated_bytes () -. before in
+  ignore (Sys.opaque_identity m);
+  check Alcotest.bool
+    (Printf.sprintf "256 MiB create allocated %.0f bytes (< 1 MiB)" allocated)
+    true
+    (allocated < 1024. *. 1024.)
+
 (* --- arena: recycled guest memory must be indistinguishable from a
    fresh create --- *)
 
@@ -211,9 +477,8 @@ let test_arena_recycles_same_buffer () =
     (Bytes.equal
        (Guest_mem.read_bytes m2 ~pa:0 ~len:8192)
        (Bytes.make 8192 '\000'));
-  (* physically the same backing store, recycled rather than reallocated *)
-  check Alcotest.bool "same backing store" true
-    (Guest_mem.raw m2 == Guest_mem.raw m1);
+  (* physically the same guest, recycled rather than reallocated *)
+  check Alcotest.bool "same guest" true (m2 == m1);
   let hits, misses = Arena.stats a in
   check int "one hit" 1 hits;
   check int "one miss" 1 misses;
@@ -226,31 +491,29 @@ exception Boom
 let test_with_buffer_releases_on_raise () =
   let a = Arena.create () in
   (* normal path: buffer comes back to the pool *)
-  let raw1 =
+  let m1 =
     Arena.with_buffer a ~size:8192 (fun m ->
         Guest_mem.write_bytes m ~pa:64 (Bytes.make 32 '\xaa');
-        Guest_mem.raw m)
+        m)
   in
   check int "pooled after return" 8192 (Arena.pooled_bytes a);
   (* raising path: same guarantee *)
   (try
      Arena.with_buffer a ~size:8192 (fun m ->
          check Alcotest.bool "recycled on the raising path" true
-           (Guest_mem.raw m == raw1);
+           (m == m1);
          Guest_mem.write_bytes m ~pa:4000 (Bytes.make 100 '\xff');
          raise Boom)
    with Boom -> ());
   check int "pooled after raise" 8192 (Arena.pooled_bytes a);
-  (* the buffer the raising user dirtied is scrubbed, not poisoned
-     (check before touching [raw], which marks the guest dirty) *)
+  (* the buffer the raising user dirtied is scrubbed, not poisoned *)
   Arena.with_buffer a ~size:8192 (fun m ->
       check Alcotest.bool "fresh-indistinguishable after raise" true
         (Guest_mem.dirty_extent m = None
         && Bytes.equal
              (Guest_mem.read_bytes m ~pa:0 ~len:8192)
              (Bytes.make 8192 '\000'));
-      check Alcotest.bool "still the same backing store" true
-        (Guest_mem.raw m == raw1))
+      check Alcotest.bool "still the same guest" true (m == m1))
 
 let qcheck_with_buffer_exception_safe =
   QCheck.Test.make ~count:100
@@ -415,6 +678,9 @@ let () =
             test_valid_and_validated_range;
           Alcotest.test_case "get_i64 raw" `Quick test_get_i64_raw;
           Testkit.to_alcotest qcheck_guest_mem_rw;
+          Alcotest.test_case "create allocates no chunk" `Quick
+            test_create_is_lazy;
+          Testkit.to_alcotest qcheck_chunks_match_flat;
         ] );
       ( "arena",
         [

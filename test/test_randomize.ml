@@ -172,29 +172,30 @@ let reference_apply ~mem ~relocs ~site_pa ~new_va_of =
   Array.iter (patch Abs32) relocs.abs32;
   Array.iter (patch Inv32) relocs.inv32
 
-let qcheck_batched_apply_matches_reference =
-  (* random site sets for all three kinds; [swap_pairs] picks a
-     non-monotonic site_pa (adjacent slots pairwise swapped, the
-     FGKASLR-displacement shape) that forces the batcher to break runs
-     and sends some reads to stale/zero slots — outcome (success or
-     error message) and every guest byte must match the reference *)
-  QCheck.Test.make ~name:"kaslr: batched apply = per-site reference"
-    ~count:200
+(* random site sets for all three kinds: slot numbers drawn from
+   [0, slots), placed from [base64], [base32] and [baseinv] in a guest of
+   [size] bytes; [swap_pairs] picks a
+   non-monotonic site_pa (adjacent slots pairwise swapped, the
+   FGKASLR-displacement shape) that forces the batcher to break runs and
+   sends some reads to stale/zero slots — outcome (success or error
+   message) and every guest byte must match the reference *)
+let batched_matches_reference ~name ~count ~size ~slots:(first, last) ~base64
+    ~base32 ~baseinv =
+  QCheck.Test.make ~name ~count
     QCheck.(
       quad
-        (list_of_size Gen.(0 -- 40) (int_bound 2047))
-        (list_of_size Gen.(0 -- 40) (int_bound 2047))
+        (list_of_size Gen.(0 -- 40) (int_range first last))
+        (list_of_size Gen.(0 -- 40) (int_range first last))
         (int_range 1 200) bool)
     (fun (offs64, offs32, slots, swap_pairs) ->
       let delta = slots * Addr.kernel_align in
-      let size = 64 * 1024 in
       let sites mult region offs =
         List.sort_uniq Stdlib.compare offs
         |> List.map (fun k -> region + (k * mult))
       in
-      let o64 = sites 8 0 offs64 in
-      let o32 = sites 4 (16 * 1024) offs32 in
-      let oi32 = sites 4 (32 * 1024) offs32 in
+      let o64 = sites 8 base64 offs64 in
+      let o32 = sites 4 base32 offs32 in
+      let oi32 = sites 4 baseinv offs32 in
       let target i = Addr.link_base + 0x10000 + (i * 64) in
       let mk () =
         let mem = Guest_mem.create ~size in
@@ -229,9 +230,27 @@ let qcheck_batched_apply_matches_reference =
             None
           with Kaslr.Reloc_error m -> Some m
         in
-        (outcome, Bytes.to_string (Guest_mem.raw mem))
+        (outcome,
+         Guest_mem.read_bytes mem ~pa:0 ~len:(Guest_mem.size mem))
       in
       run Kaslr.apply = run reference_apply)
+
+let qcheck_batched_apply_matches_reference =
+  batched_matches_reference ~name:"kaslr: batched apply = per-site reference"
+    ~count:200 ~size:(64 * 1024) ~slots:(0, 2047) ~base64:0
+    ~base32:(16 * 1024) ~baseinv:(32 * 1024)
+
+let qcheck_batched_apply_across_chunks =
+  (* each kind's sites run across its own chunk boundary from an odd
+     base, so runs must split there, and slot 1024 (drawn in most cases
+     from the dense slot range) straddles it: the batcher must replay
+     that site through the checked accessors *)
+  let chunk = 1 lsl Guest_mem.chunk_bits in
+  batched_matches_reference
+    ~name:"kaslr: chunk-straddling sites, batched = per-site reference"
+    ~count:60 ~size:(4 * chunk) ~slots:(1008, 1040)
+    ~base64:(chunk - 8192 - 3) ~base32:((2 * chunk) - 4096 - 1)
+    ~baseinv:((3 * chunk) - 4096 - 2)
 
 let test_batched_fallback_matches_reference () =
   (* a site past the end of guest memory makes its whole run fail
@@ -265,7 +284,8 @@ let test_batched_fallback_matches_reference () =
         None
       with Kaslr.Reloc_error m -> Some m
     in
-    (outcome, Bytes.to_string (Guest_mem.raw mem))
+    (outcome,
+         Guest_mem.read_bytes mem ~pa:0 ~len:(Guest_mem.size mem))
   in
   let (out_b, bytes_b) = run Kaslr.apply in
   let (out_r, bytes_r) = run reference_apply in
@@ -279,7 +299,7 @@ let test_batched_fallback_matches_reference () =
     (match out_b with
     | Some m -> contains m "outside the loaded image"
     | None -> false);
-  check Alcotest.bool "same bytes" true (String.equal bytes_b bytes_r)
+  check Alcotest.bool "same bytes" true (Bytes.equal bytes_b bytes_r)
 
 (* --- FGKASLR plans --- *)
 
@@ -411,6 +431,7 @@ let () =
             test_batched_fallback_matches_reference;
           Testkit.to_alcotest qcheck_apply_then_verify_consistency;
           Testkit.to_alcotest qcheck_batched_apply_matches_reference;
+          Testkit.to_alcotest qcheck_batched_apply_across_chunks;
         ] );
       ( "fgkaslr plans",
         [

@@ -39,10 +39,9 @@ let dirty_ranges m =
          (lo, hi) :: acc))
 
 let test_capture_leaves_tracker_untouched () =
-  (* the old full-image capture went through [Guest_mem.raw], which
-     conservatively dirtied the whole guest — a snapshotted boot's next
-     arena scrub became a whole-guest re-zero. Capture (and the layout
-     probe) must be invisible to the tracker. *)
+  (* a capture that dirtied the whole guest would turn a snapshotted
+     boot's next arena scrub into a whole-guest re-zero. Capture (and
+     the layout probe) must be invisible to the tracker. *)
   let _, _, r = booted () in
   let extent_before = Imk_memory.Guest_mem.dirty_extent r.Vmm.mem in
   let ranges_before = dirty_ranges r.Vmm.mem in
